@@ -416,7 +416,7 @@ class LinearProblem:
             rhs_flat.extend(rhs.flatten())
         A = Mat(F, rows, total)
         B = Mat(F, [[v] for v in rhs_flat], 1)
-        Xsol, _, cert = solve_right(A, B, want_kernel=False, want_cert=self.want_cert)
+        Xsol, cert = solve_right(A, B, want_cert=self.want_cert)
         if Xsol is None:
             return None, cert
         out = {}

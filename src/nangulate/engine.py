@@ -617,7 +617,7 @@ class AngulationContext:
             cs.append(c_next)
         piT = solve_pi(T, inclT)
         # gamma with proj_end @ gamma = c_{n-1} @ piT
-        gamma, _, cert = solve_right(proj_end.mat, cs[n - 1] @ piT)
+        gamma, cert = solve_right(proj_end.mat, cs[n - 1] @ piT)
         if gamma is None:
             raise EngineError("end comparison does not descend")
         SigRho_inv = rhoL.mat.inverse()
@@ -756,7 +756,7 @@ class AngulationContext:
             rhs = cs[-1] @ std["maps"][i].mat
             cs.append(_solve_hom_equation(X.objects[i + 1], std["objects"][i + 1], X.maps[i].mat, None, rhs))
         piX = solve_pi(X, inclX)
-        beta_mat, _, cert = solve_right(piX, cs[n - 1] @ std["projs"][n - 1].mat)
+        beta_mat, cert = solve_right(piX, cs[n - 1] @ std["projs"][n - 1].mat)
         if beta_mat is None:
             raise EngineError("beta comparison does not descend")
         SigM = self.susp.apply_module(M)
@@ -994,7 +994,7 @@ def build_context(A: Algebra, n: int, mode: str, unit=None, force=False, budget=
         unit = tuple(unit)
         if not A.left_mult_mat(unit).is_invertible():
             raise RefusedContext("chosen element is not a unit")
-        two_p = A.multiply((A.field.of_int(2),) + (A.field.zero,) * (A.dim - 1), p)
+        two_p = tuple(A.field.add(a, a) for a in p)
         zero = tuple(A.field.zero for _ in range(A.dim))
         if n % 2 == 1 and two_p != zero:
             if not force:

@@ -6,7 +6,7 @@ reduction always picks the leftmost available pivot, and unsolvable systems
 come with a certificate (a left null vector of A that does not kill B).
 
 Matrices are immutable once built.  A matrix is stored row-major; entries are
-plain ints for F_p and `fractions.Fraction` for Q.
+plain ints in range(p) for F_p and `fractions.Fraction` for Q.
 """
 
 from __future__ import annotations
@@ -178,10 +178,6 @@ class Mat:
     def identity(field, n):
         z, o = field.zero, field.one
         return Mat(field, [[o if i == j else z for j in range(n)] for i in range(n)], n)
-
-    @staticmethod
-    def from_row(field, vec):
-        return Mat(field, [list(vec)], len(vec))
 
     # -- basic structure ---------------------------------------------------
 
@@ -359,6 +355,29 @@ class Mat:
         return self.nrows == self.ncols and self.rank() == self.nrows
 
 
+# Byte <-> bit-character tables for the F2 packing: entry a becomes the digit
+# of a & 1, and a digit character becomes the int 0 or 1.
+_BITS_OF_BYTE = bytes(48 + (i & 1) for i in range(256))
+_BYTE_OF_BIT = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _pack_f2(rows, n):
+    """Entry j of each row becomes bit j of an int (C-level conversion)."""
+    if not n:
+        return [0] * len(rows)
+    table = _BITS_OF_BYTE
+    return [int(bytes(row[::-1]).translate(table), 2) for row in rows]
+
+
+def _unpack_f2(packed, n):
+    """Inverse of _pack_f2: tuples of 0/1 ints of length n."""
+    if not n:
+        return [()] * len(packed)
+    fmt = f"0{n}b"
+    table = _BYTE_OF_BIT
+    return [tuple(format(v, fmt)[::-1].encode().translate(table)) for v in packed]
+
+
 def _rref_f2(A: Mat, want_transform: bool):
     """Bit-packed row reduction over F_2: rows are ints, elimination is XOR.
 
@@ -366,13 +385,7 @@ def _rref_f2(A: Mat, want_transform: bool):
     same normalization), just faster.
     """
     m, n = A.nrows, A.ncols
-    packed = []
-    for row in A.rows:
-        v = 0
-        for j, a in enumerate(row):
-            if a & 1:
-                v |= 1 << j
-        packed.append(v)
+    packed = _pack_f2(A.rows, n)
     t = [1 << i for i in range(m)] if want_transform else None
     pivots = []
     r = 0
@@ -396,19 +409,78 @@ def _rref_f2(A: Mat, want_transform: bool):
         if r == m:
             break
     F = A.field
-    rows = [tuple((v >> j) & 1 for j in range(n)) for v in packed]
+    R = Mat(F, _unpack_f2(packed, n), n)
+    T = Mat(F, _unpack_f2(t, m), m) if t is not None else None
+    return R, pivots, T
+
+
+def _rref_mod_p(A: Mat, want_transform: bool):
+    """Row reduction over F_p, p odd, touching only nonzero entries.
+
+    Rows stay dense lists, but once the lead row is normalized its support
+    (the nonzero entries, all at columns >= the pivot) is collected, and each
+    row that needs elimination is updated in place over that support only;
+    the transform rows are handled the same way.  Entries must be reduced
+    (in range(p)), as every field operation leaves them; the result is then
+    entry-identical to a dense elimination with the same pivots.
+    """
+    F = A.field
+    p = F.p
+    m, n = A.nrows, A.ncols
+    rows = [list(r) for r in A.rows]
+    if want_transform:
+        t = [[0] * m for _ in range(m)]
+        for i in range(m):
+            t[i][i] = 1
+    else:
+        t = None
+    pivots = []
+    r = 0
+    for c in range(n):
+        pr = next((i for i in range(r, m) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        lead = rows[r]
+        inv = pow(lead[c], -1, p)
+        support = [j for j in range(c, n) if lead[j]]
+        if inv != 1:
+            for j in support:
+                lead[j] = lead[j] * inv % p
+        support = [(j, lead[j]) for j in support]
+        if t is not None:
+            t[r], t[pr] = t[pr], t[r]
+            tl = t[r]
+            t_support = [j for j in range(m) if tl[j]]
+            if inv != 1:
+                for j in t_support:
+                    tl[j] = tl[j] * inv % p
+            t_support = [(j, tl[j]) for j in t_support]
+        for i in [i for i in range(m) if rows[i][c] and i != r]:
+            row = rows[i]
+            f = row[c]
+            for j, b in support:
+                row[j] = (row[j] - f * b) % p
+            if t is not None:
+                ti = t[i]
+                for j, b in t_support:
+                    ti[j] = (ti[j] - f * b) % p
+        pivots.append(c)
+        r += 1
+        if r == m:
+            break
     R = Mat(F, rows, n)
-    T = None
-    if t is not None:
-        T = Mat(F, [tuple((v >> j) & 1 for j in range(m)) for v in t], m)
+    T = Mat(F, t, m) if t is not None else None
     return R, pivots, T
 
 
 def _rref_with_transform(A: Mat, want_transform: bool):
     """Row reduce A.  Returns (R, pivots, T) with T @ A = R when requested."""
     F = A.field
-    if isinstance(F, PrimeField) and F.p == 2:
-        return _rref_f2(A, want_transform)
+    if isinstance(F, PrimeField):
+        if F.p == 2:
+            return _rref_f2(A, want_transform)
+        return _rref_mod_p(A, want_transform)
     m, n = A.nrows, A.ncols
     rows = [list(r) for r in A.rows]
     if want_transform:
@@ -417,56 +489,29 @@ def _rref_with_transform(A: Mat, want_transform: bool):
         t = None
     pivots = []
     r = 0
-    if isinstance(F, PrimeField):
-        p = F.p
-        for c in range(n):
-            pr = next((i for i in range(r, m) if rows[i][c] % p), None)
-            if pr is None:
-                continue
-            rows[r], rows[pr] = rows[pr], rows[r]
-            if t is not None:
-                t[r], t[pr] = t[pr], t[r]
-            inv = pow(rows[r][c], -1, p)
-            if inv != 1:
-                rows[r] = [(a * inv) % p for a in rows[r]]
+    for c in range(n):
+        pr = next((i for i in range(r, m) if rows[i][c] != F.zero), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        if t is not None:
+            t[r], t[pr] = t[pr], t[r]
+        inv = F.inv(rows[r][c])
+        rows[r] = [F.mul(a, inv) for a in rows[r]]
+        if t is not None:
+            t[r] = [F.mul(a, inv) for a in t[r]]
+        lead = rows[r]
+        tl = t[r] if t is not None else None
+        for i in range(m):
+            if i != r and rows[i][c] != F.zero:
+                f = rows[i][c]
+                rows[i] = [F.sub(a, F.mul(f, b)) for a, b in zip(rows[i], lead)]
                 if t is not None:
-                    t[r] = [(a * inv) % p for a in t[r]]
-            lead = rows[r]
-            tl = t[r] if t is not None else None
-            for i in range(m):
-                if i != r and rows[i][c]:
-                    f = rows[i][c]
-                    rows[i] = [(a - f * b) % p for a, b in zip(rows[i], lead)]
-                    if t is not None:
-                        t[i] = [(a - f * b) % p for a, b in zip(t[i], tl)]
-            pivots.append(c)
-            r += 1
-            if r == m:
-                break
-    else:
-        for c in range(n):
-            pr = next((i for i in range(r, m) if rows[i][c] != F.zero), None)
-            if pr is None:
-                continue
-            rows[r], rows[pr] = rows[pr], rows[r]
-            if t is not None:
-                t[r], t[pr] = t[pr], t[r]
-            inv = F.inv(rows[r][c])
-            rows[r] = [F.mul(a, inv) for a in rows[r]]
-            if t is not None:
-                t[r] = [F.mul(a, inv) for a in t[r]]
-            lead = rows[r]
-            tl = t[r] if t is not None else None
-            for i in range(m):
-                if i != r and rows[i][c] != F.zero:
-                    f = rows[i][c]
-                    rows[i] = [F.sub(a, F.mul(f, b)) for a, b in zip(rows[i], lead)]
-                    if t is not None:
-                        t[i] = [F.sub(a, F.mul(f, b)) for a, b in zip(t[i], tl)]
-            pivots.append(c)
-            r += 1
-            if r == m:
-                break
+                    t[i] = [F.sub(a, F.mul(f, b)) for a, b in zip(t[i], tl)]
+        pivots.append(c)
+        r += 1
+        if r == m:
+            break
     R = Mat(F, rows, n)
     T = Mat(F, t, m) if t is not None else None
     return R, pivots, T
@@ -480,7 +525,8 @@ def null_right(A: Mat) -> Mat:
     """
     F = A.field
     R, piv = A.rref()
-    free = [j for j in range(A.ncols) if j not in piv]
+    pivset = set(piv)
+    free = [j for j in range(A.ncols) if j not in pivset]
     cols = []
     for j in free:
         v = [F.zero] * A.ncols
@@ -493,20 +539,19 @@ def null_right(A: Mat) -> Mat:
     return Mat(F, list(zip(*cols)), len(cols))
 
 
-def solve_right(A: Mat, B: Mat, want_kernel=True, want_cert=True):
+def solve_right(A: Mat, B: Mat, want_cert=True):
     """Solve A @ X = B.
 
-    Returns (X, kernel, None) on success where kernel = null_right(A), or
-    (None, kernel, cert) when unsolvable; cert is a row vector v with
-    v @ A = 0 and v @ B != 0.  Kernel and certificate computation can be
-    switched off by callers that only need a particular solution.
+    Returns (X, None) on success, or (None, cert) when unsolvable; cert is a
+    row vector v with v @ A = 0 and v @ B != 0.  Callers that only need to
+    know solvability can switch the certificate off (it costs a second
+    elimination); the kernel of A is null_right(A).
     """
     if A.nrows != B.nrows:
         raise ValueError("solve: A.rows must equal B.rows")
     F = A.field
     aug = A.hstack(B)
     R, piv, _ = _rref_with_transform(aug, want_transform=False)
-    ker = null_right(A) if want_kernel else None
     bad = next((c for c in piv if c >= A.ncols), None)
     if bad is not None:
         cert = None
@@ -514,12 +559,12 @@ def solve_right(A: Mat, B: Mat, want_kernel=True, want_cert=True):
             _, piv2, T = _rref_with_transform(aug, want_transform=True)
             r = piv2.index(bad)
             cert = Mat(F, [T.rows[r]], A.nrows)
-        return None, ker, cert
+        return None, cert
     z = F.zero
     xrows = [[z] * B.ncols for _ in range(A.ncols)]
     for r, pc in enumerate(piv):
         xrows[pc] = list(R.rows[r][A.ncols :])
-    return Mat(F, xrows, B.ncols), ker, None
+    return Mat(F, xrows, B.ncols), None
 
 
 def row_space_basis(A: Mat) -> Mat:
@@ -536,21 +581,10 @@ def left_null_basis(A: Mat) -> Mat:
 
 def solve_xa_b(A: Mat, B: Mat):
     """Solve X @ A = B for X (row-vector world).  Returns X or None."""
-    Xt, _, cert = solve_right(A.transpose(), B.transpose())
+    Xt, _ = solve_right(A.transpose(), B.transpose(), want_cert=False)
     if Xt is None:
         return None
     return Xt.transpose()
-
-
-def image_basis(A: Mat) -> Mat:
-    """Column-space basis of A, returned as columns (column-world op)."""
-    Rt = row_space_basis(A.transpose())
-    return Rt.transpose()
-
-
-def mat_kernel_basis(A: Mat) -> Mat:
-    """Basis of ker A = {x : A x = 0}, as the columns of the returned matrix."""
-    return null_right(A)
 
 
 def vec_in_row_space(v, B: Mat):

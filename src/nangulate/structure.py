@@ -736,7 +736,7 @@ def stable_zero_witness(f: ModuleMap):
         cols.append((mono.mat @ b.mat).flatten())
     Amat = Mat(F, list(zip(*cols)), len(cols)) if cols else Mat(F, [], ncols=0)
     Bmat = Mat(F, [[v] for v in f.mat.flatten()], 1)
-    X, _, cert = solve_right(Amat, Bmat)
+    X, cert = solve_right(Amat, Bmat)
     if X is None:
         return None
     out = ModuleMap.zero(I, f.target)
@@ -785,7 +785,7 @@ def _solve_hom(M: Module, N: Module, shape, rhs: Mat):
     cols = [shape(b.mat).flatten() for b in basis]
     Amat = Mat(F, list(zip(*cols)), len(cols))
     Bmat = Mat(F, [[v] for v in rhs.flatten()], 1)
-    X, _, _ = solve_right(Amat, Bmat)
+    X, _ = solve_right(Amat, Bmat)
     if X is None:
         return None
     out = Mat.zeros(F, M.dim, N.dim)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from nangulate.algebras import Module, ModuleMap, hom_basis, kernel
+from nangulate.algebras import Algebra, Module, ModuleMap, hom_basis, kernel
 from nangulate.builders import (
     dual_numbers,
     product_of_fields,
@@ -120,6 +120,17 @@ def test_local_ring_parity_rule():
     assert not ctx2.forced
     forced = build_context(A3, 3, "local-ring", unit=A3.unit, force=True)
     assert forced.forced
+
+
+def test_local_ring_parity_rule_in_any_basis():
+    # F3[x]/(x^2) with basis order (x, 1): basis vector 0 is not the unit,
+    # and 2p must still be computed as p + p
+    A = Algebra(F3, [[[0, 0], [1, 0]], [[1, 0], [0, 1]]], [0, 1], ["x", "1"])
+    with pytest.raises(RefusedContext):
+        build_context(A, 3, "local-ring", unit=A.unit)
+    forced = build_context(A, 3, "local-ring", unit=A.unit, force=True)
+    assert forced.forced
+    assert forced.data["parity_violation"]
 
 
 def test_semisimple_gate():

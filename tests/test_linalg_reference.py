@@ -1,0 +1,206 @@
+"""The elimination kernels against the plain dense loops they replaced.
+
+The reference below is the straightforward Gauss-Jordan elimination: every
+cell of every touched row is rewritten, and F2 rows are packed bit by bit.
+The production kernels (support-restricted updates over odd p, C-level F2
+packing) must agree with it exactly: R, pivots, T, solve_right's X and
+certificate, and null_right.
+"""
+
+from hypothesis import given, settings, strategies as st
+
+from nangulate.linalg import (
+    QQ,
+    Mat,
+    PrimeField,
+    _rref_with_transform,
+    field_by_name,
+    null_right,
+    solve_right,
+)
+
+
+def ref_rref_f2(A: Mat, want_transform: bool):
+    m, n = A.nrows, A.ncols
+    packed = []
+    for row in A.rows:
+        v = 0
+        for j, a in enumerate(row):
+            if a & 1:
+                v |= 1 << j
+        packed.append(v)
+    t = [1 << i for i in range(m)] if want_transform else None
+    pivots = []
+    r = 0
+    for c in range(n):
+        bit = 1 << c
+        pr = next((i for i in range(r, m) if packed[i] & bit), None)
+        if pr is None:
+            continue
+        packed[r], packed[pr] = packed[pr], packed[r]
+        if t is not None:
+            t[r], t[pr] = t[pr], t[r]
+        lead = packed[r]
+        tl = t[r] if t is not None else 0
+        for i in range(m):
+            if i != r and packed[i] & bit:
+                packed[i] ^= lead
+                if t is not None:
+                    t[i] ^= tl
+        pivots.append(c)
+        r += 1
+        if r == m:
+            break
+    F = A.field
+    R = Mat(F, [tuple((v >> j) & 1 for j in range(n)) for v in packed], n)
+    T = None
+    if t is not None:
+        T = Mat(F, [tuple((v >> j) & 1 for j in range(m)) for v in t], m)
+    return R, pivots, T
+
+
+def ref_rref(A: Mat, want_transform: bool):
+    F = A.field
+    if isinstance(F, PrimeField) and F.p == 2:
+        return ref_rref_f2(A, want_transform)
+    m, n = A.nrows, A.ncols
+    rows = [list(r) for r in A.rows]
+    if want_transform:
+        t = [[F.one if i == j else F.zero for j in range(m)] for i in range(m)]
+    else:
+        t = None
+    pivots = []
+    r = 0
+    if isinstance(F, PrimeField):
+        p = F.p
+        for c in range(n):
+            pr = next((i for i in range(r, m) if rows[i][c] % p), None)
+            if pr is None:
+                continue
+            rows[r], rows[pr] = rows[pr], rows[r]
+            if t is not None:
+                t[r], t[pr] = t[pr], t[r]
+            inv = pow(rows[r][c], -1, p)
+            if inv != 1:
+                rows[r] = [(a * inv) % p for a in rows[r]]
+                if t is not None:
+                    t[r] = [(a * inv) % p for a in t[r]]
+            lead = rows[r]
+            tl = t[r] if t is not None else None
+            for i in range(m):
+                if i != r and rows[i][c]:
+                    f = rows[i][c]
+                    rows[i] = [(a - f * b) % p for a, b in zip(rows[i], lead)]
+                    if t is not None:
+                        t[i] = [(a - f * b) % p for a, b in zip(t[i], tl)]
+            pivots.append(c)
+            r += 1
+            if r == m:
+                break
+    else:
+        for c in range(n):
+            pr = next((i for i in range(r, m) if rows[i][c] != F.zero), None)
+            if pr is None:
+                continue
+            rows[r], rows[pr] = rows[pr], rows[r]
+            if t is not None:
+                t[r], t[pr] = t[pr], t[r]
+            inv = F.inv(rows[r][c])
+            rows[r] = [F.mul(a, inv) for a in rows[r]]
+            if t is not None:
+                t[r] = [F.mul(a, inv) for a in t[r]]
+            lead = rows[r]
+            tl = t[r] if t is not None else None
+            for i in range(m):
+                if i != r and rows[i][c] != F.zero:
+                    f = rows[i][c]
+                    rows[i] = [F.sub(a, F.mul(f, b)) for a, b in zip(rows[i], lead)]
+                    if t is not None:
+                        t[i] = [F.sub(a, F.mul(f, b)) for a, b in zip(t[i], tl)]
+            pivots.append(c)
+            r += 1
+            if r == m:
+                break
+    R = Mat(F, rows, n)
+    T = Mat(F, t, m) if t is not None else None
+    return R, pivots, T
+
+
+def ref_null_right(A: Mat) -> Mat:
+    F = A.field
+    R, piv, _ = ref_rref(A, want_transform=False)
+    free = [j for j in range(A.ncols) if j not in piv]
+    cols = []
+    for j in free:
+        v = [F.zero] * A.ncols
+        v[j] = F.one
+        for r, pc in enumerate(piv):
+            v[pc] = F.neg(R.rows[r][j])
+        cols.append(v)
+    if not cols:
+        return Mat(F, [[] for _ in range(A.ncols)] if A.ncols else [], 0)
+    return Mat(F, list(zip(*cols)), len(cols))
+
+
+def ref_solve_right(A: Mat, B: Mat):
+    F = A.field
+    aug = A.hstack(B)
+    R, piv, _ = ref_rref(aug, want_transform=False)
+    bad = next((c for c in piv if c >= A.ncols), None)
+    if bad is not None:
+        _, piv2, T = ref_rref(aug, want_transform=True)
+        return None, Mat(F, [T.rows[piv2.index(bad)]], A.nrows)
+    xrows = [[F.zero] * B.ncols for _ in range(A.ncols)]
+    for r, pc in enumerate(piv):
+        xrows[pc] = list(R.rows[r][A.ncols :])
+    return Mat(F, xrows, B.ncols), None
+
+
+FIELDS = [field_by_name("F2"), field_by_name("F3"), field_by_name("F97"), QQ]
+
+
+@st.composite
+def system(draw):
+    """A field, A (m x n) and B (m x k); sparse (<= 5% nonzero) or dense."""
+    F = draw(st.sampled_from(FIELDS))
+    m = draw(st.integers(min_value=0, max_value=24))
+    n = draw(st.integers(min_value=0, max_value=24))
+    k = draw(st.integers(min_value=0, max_value=3))
+    density = draw(st.sampled_from([0.02, 0.05, 0.5, 1.0]))
+    rng = draw(st.randoms(use_true_random=False))
+    if F.p:
+        values = range(1, F.p)
+    else:
+        values = [F.of_int(a) / b for a in (-3, -1, 1, 2, 5) for b in (1, 2, 7)]
+
+    def entry():
+        return rng.choice(values) if rng.random() < density else F.zero
+
+    A = Mat(F, [[entry() for _ in range(n)] for _ in range(m)], n)
+    B = Mat(F, [[entry() for _ in range(k)] for _ in range(m)], k)
+    if draw(st.booleans()) and n and k:
+        # a solvable right-hand side, so both outcomes of solve_right occur
+        X0 = Mat(F, [[entry() for _ in range(k)] for _ in range(n)], k)
+        B = A @ X0
+    return A, B
+
+
+@settings(max_examples=200, deadline=None)
+@given(system())
+def test_kernels_match_dense_reference(AB):
+    A, B = AB
+    for want_transform in (False, True):
+        assert _rref_with_transform(A, want_transform) == ref_rref(A, want_transform)
+    assert solve_right(A, B) == ref_solve_right(A, B)
+    assert null_right(A) == ref_null_right(A)
+
+
+def test_empty_shapes_match_dense_reference():
+    for F in FIELDS:
+        for m, n, k in ((0, 0, 0), (0, 4, 1), (4, 0, 1), (3, 3, 0)):
+            A = Mat(F, [[F.zero] * n for _ in range(m)], n)
+            B = Mat(F, [[F.one] * k for _ in range(m)], k)
+            for want_transform in (False, True):
+                assert _rref_with_transform(A, want_transform) == ref_rref(A, want_transform)
+            assert solve_right(A, B) == ref_solve_right(A, B)
+            assert null_right(A) == ref_null_right(A)
