@@ -374,10 +374,6 @@ def hom_basis(M: Module, N: Module):
     return tuple(maps)
 
 
-def hom_dim(M: Module, N: Module) -> int:
-    return len(hom_basis(M, N))
-
-
 # -- submodules, quotients, kernels ------------------------------------------
 
 

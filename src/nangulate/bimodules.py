@@ -19,7 +19,7 @@ from .algebras import (
     kernel,
     quotient_by_rows,
 )
-from .structure import projective_cover
+from .structure import algebra_radical, projective_cover
 
 
 class ResourceBudgetExceeded(RuntimeError):
@@ -81,6 +81,8 @@ class Enveloping:
                     unit[r * d + s] = F.mul(ur, us)
         labels = [f"{A.labels[i]}(x){A.labels[j]}" for i in range(d) for j in range(d)]
         self.algebra = Algebra(F, mult, unit, labels, check=(D <= 9))
+        # consulted lazily by algebra_radical, which still certifies the result
+        self.algebra._cache["radical_rule"] = self._radical_rows
         self._left_mats = [A.left_mult_mat(A.basis_vector(i)) for i in range(d)]
         self._right_mats = [A.right_mult_mat(A.basis_vector(j)) for j in range(d)]
 
@@ -96,6 +98,17 @@ class Enveloping:
                 if ys != F.zero:
                     out[r * d + s] = F.mul(xr, ys)
         return tuple(out)
+
+    def _radical_rows(self):
+        """Rows spanning J(A)^op (x) A + A^op (x) J(A), the radical of A^e over a perfect field."""
+        A = self.base
+        rows = []
+        for r in algebra_radical(A).rows:
+            for j in range(A.dim):
+                b = A.basis_vector(j)
+                rows.append(self.pair_coords(r, b))
+                rows.append(self.pair_coords(b, r))
+        return rows
 
     def left_elem(self, x):
         """Coordinates of x (x) 1."""

@@ -59,9 +59,6 @@ class Suspension:
             return M
         return twist_module(M, self.sigma)
 
-    def apply_map(self, f: ModuleMap) -> ModuleMap:
-        return ModuleMap(self.apply_module(f.source), self.apply_module(f.target), f.mat, check=False)
-
     def __eq__(self, other):
         return (
             isinstance(other, Suspension)
@@ -158,10 +155,6 @@ def disk_complex(susp: Suspension, X: Module, n: int, slot: int) -> PeriodicComp
 
 def trivial_complex(susp: Suspension, X: Module, n: int) -> PeriodicComplex:
     return disk_complex(susp, X, n, 0)
-
-
-def zero_complex(susp: Suspension, n: int) -> PeriodicComplex:
-    return disk_complex(susp, Module.zero(susp.algebra), n, 0)
 
 
 def rotate_left(X: PeriodicComplex) -> PeriodicComplex:

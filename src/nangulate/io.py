@@ -11,7 +11,7 @@ import json
 
 from .linalg import Mat, field_by_name
 from .algebras import Algebra, AlgebraError, Automorphism, Module, ModuleMap
-from .complexes import ChainMap, Homotopy, PeriodicComplex, Suspension
+from .complexes import ChainMap, PeriodicComplex, Suspension
 
 
 class FormatError(ValueError):
@@ -184,10 +184,6 @@ def complex_from_json(A: Algebra, data) -> PeriodicComplex:
 
 def chain_map_to_json(phi: ChainMap):
     return [mat_to_json(p.mat) for p in phi.parts]
-
-
-def homotopy_to_json(h: Homotopy):
-    return [mat_to_json(p.mat) for p in h.parts]
 
 
 def context_to_json(ctx):

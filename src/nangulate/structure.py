@@ -2,10 +2,14 @@
 
 The radical of an algebra over F_p is computed by a descending chain of
 subspaces cut out by p-power trace forms evaluated on integer lifts of the
-left-regular representation; over Q the plain trace form suffices.  Either
-way the result is certified at runtime: the candidate must be a two-sided
-nilpotent ideal (which pins it below the radical, while the chain never cuts
-below the radical), so an incorrect answer cannot escape silently.
+left-regular representation; over Q the plain trace form suffices.  An
+algebra may instead carry a structural rule (``_cache["radical_rule"]``, a
+callable with no arguments returning spanning rows of the radical); over F_p
+it replaces the chain.  Enveloping algebras carry one: over a perfect field
+J(A^op (x) A) = J(A)^op (x) A + A^op (x) J(A).  Every candidate is certified
+at runtime: it must be a two-sided nilpotent ideal (which pins it below the
+radical, while the chain and the tensor formula never cut below it), so an
+incorrect answer cannot escape silently.
 
 Injective envelopes are computed in the selfinjective regime only, by
 dualizing projective covers over the opposite algebra.
@@ -75,19 +79,17 @@ def _int_power_trace_mod(rows, power, modulus):
 
 
 def _subspace_is_ideal(A: Algebra, basis: Mat) -> bool:
-    for r in range(basis.nrows):
-        v = tuple(basis.rows[r])
+    """Every product v*b_i and b_i*v of a row v with a basis vector stays in the span.
+
+    One rank test: stacking all products under the rows must not raise the rank.
+    """
+    prods = []
+    for v in basis.rows:
         for i in range(A.dim):
             b = A.basis_vector(i)
-            for prod in (A.multiply(v, b), A.multiply(b, v)):
-                from .linalg import vec_in_row_space
-
-                if basis.nrows == 0:
-                    if any(c != A.field.zero for c in prod):
-                        return False
-                elif vec_in_row_space(prod, basis) is None:
-                    return False
-    return True
+            prods.append(A.multiply(v, b))
+            prods.append(A.multiply(b, v))
+    return Mat(A.field, basis.rows + tuple(prods), A.dim).rank() == basis.rank()
 
 
 def _subspace_is_nilpotent(A: Algebra, basis: Mat) -> bool:
@@ -109,7 +111,12 @@ def algebra_radical(A: Algebra) -> Mat:
         return A._cache["radical"]
     F = A.field
     d = A.dim
-    if isinstance(F, PrimeField):
+    rule = A._cache.get("radical_rule")
+    if isinstance(F, PrimeField) and rule is not None:
+        # F_p is perfect, so the structural rule spans exactly the radical;
+        # Q keeps Dickson's criterion below, whose basis is not in RREF.
+        rad = row_space_basis(Mat(F, rule(), d))
+    elif isinstance(F, PrimeField):
         p = F.p
         # Descending chain cut out by the p-power trace forms on integer lifts.
         # The chain never cuts below the radical (products inside the radical
@@ -208,32 +215,6 @@ def top_module(M: Module):
 
 
 # -- idempotents ----------------------------------------------------------------
-
-
-def _min_poly_coeffs(A: Algebra, z):
-    """Monic minimal polynomial of the element z, low-degree-first coefficients."""
-    F = A.field
-    powers = [A.unit]
-    cur = A.unit
-    while True:
-        rows = Mat(F, [list(v) for v in powers], A.dim)
-        cur = A.multiply(cur, z)
-        sol = solve_xa_b(rows, Mat(F, [list(cur)], A.dim))
-        if sol is not None:
-            coeffs = [F.neg(c) for c in sol.rows[0]] + [F.one]
-            return coeffs
-        powers.append(cur)
-
-
-def _poly_eval(A: Algebra, coeffs, z):
-    """Evaluate a polynomial (low-first coefficients) at an algebra element."""
-    F = A.field
-    acc = tuple(F.zero for _ in range(A.dim))
-    for c in reversed(coeffs):
-        acc = A.multiply(acc, z)
-        if c != F.zero:
-            acc = tuple(F.add(a, F.mul(c, u)) for a, u in zip(acc, A.unit))
-    return acc
 
 
 def _factor_poly(field, coeffs):
@@ -657,10 +638,6 @@ def dual_module(M: Module) -> Module:
     return Module(Aop, M.dim, [a.transpose() for a in M.action], check=False)
 
 
-def dual_map(f: ModuleMap) -> ModuleMap:
-    return ModuleMap(dual_module(f.target), dual_module(f.source), f.mat.transpose(), check=False)
-
-
 def is_selfinjective(A: Algebra) -> bool:
     """Socle test: soc(P_i) simple and P |-> soc(P) injective on iso-classes."""
     if "selfinjective" in A._cache:
@@ -736,7 +713,7 @@ def stable_zero_witness(f: ModuleMap):
         cols.append((mono.mat @ b.mat).flatten())
     Amat = Mat(F, list(zip(*cols)), len(cols)) if cols else Mat(F, [], ncols=0)
     Bmat = Mat(F, [[v] for v in f.mat.flatten()], 1)
-    X, cert = solve_right(Amat, Bmat)
+    X, _ = solve_right(Amat, Bmat, want_cert=False)
     if X is None:
         return None
     out = ModuleMap.zero(I, f.target)
@@ -785,7 +762,7 @@ def _solve_hom(M: Module, N: Module, shape, rhs: Mat):
     cols = [shape(b.mat).flatten() for b in basis]
     Amat = Mat(F, list(zip(*cols)), len(cols))
     Bmat = Mat(F, [[v] for v in rhs.flatten()], 1)
-    X, _ = solve_right(Amat, Bmat)
+    X, _ = solve_right(Amat, Bmat, want_cert=False)
     if X is None:
         return None
     out = Mat.zeros(F, M.dim, N.dim)

@@ -14,6 +14,7 @@ from .linalg import Mat
 from .algebras import Module, ModuleMap, direct_sum_modules, hom_basis, submodule_from_rows
 from .structure import projective_indecomposables
 from .complexes import (
+    ComplexError,
     PeriodicComplex,
     conjugate_complex,
     direct_sum_complexes,
@@ -90,8 +91,11 @@ class Sampler:
         M = self.random_module()
         try:
             T, _ = ctx.resolve(M)
-        except Exception:
-            # forced degenerate classes only resolve projectives
+        except ComplexError:
+            # a forced semisimple-mode class only resolves projectives: its
+            # disk complex refuses a non-projective slot
+            if not ctx.forced:
+                raise
             M = self.random_projective()
             T, _ = ctx.resolve(M)
         X = T

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from nangulate.algebras import Automorphism, Module, ModuleMap, hom_basis, kernel
+from nangulate.algebras import Algebra, AlgebraError, Automorphism, Module, ModuleMap, hom_basis, kernel
 from nangulate.bimodules import (
     Enveloping,
     ResourceBudgetExceeded,
@@ -22,8 +22,10 @@ from nangulate.builders import (
     product_of_fields,
     scaling_automorphism,
     simple_over_dual_numbers,
+    truncated_polynomial_algebra,
 )
 from nangulate.linalg import Mat, field_by_name
+from nangulate.structure import algebra_radical
 
 F2 = field_by_name("F2")
 F3 = field_by_name("F3")
@@ -309,3 +311,60 @@ def test_kron_row_vector_identity():
     lhs = kron(v, w) @ kron(A, B)
     rhs = kron(v @ A, w @ B)
     assert lhs == rhs
+
+
+# -- radical of A^e from the radical of A ---------------------------------------
+
+
+def nakayama_two_cycle(F):
+    """Basis e1, e2, a, b with e1 a e2 = a, e2 b e1 = b and ab = ba = 0."""
+
+    def unit_vector(i):
+        return [1 if k == i else 0 for k in range(4)]
+
+    table = {
+        (0, 0): unit_vector(0),
+        (1, 1): unit_vector(1),
+        (0, 2): unit_vector(2),
+        (2, 1): unit_vector(2),
+        (1, 3): unit_vector(3),
+        (3, 0): unit_vector(3),
+    }
+    mult = [[table.get((i, j), [0, 0, 0, 0]) for j in range(4)] for i in range(4)]
+    return Algebra(F, mult, [1, 1, 0, 0], ["e1", "e2", "a", "b"])
+
+
+def f9_over_f3():
+    """F3[x]/(x^2 + 1): a field, so A^e = F9 (x) F9 is semisimple but not split."""
+    mult = [[[1, 0], [0, 1]], [[0, 1], [2, 0]]]
+    return Algebra(F3, mult, [1, 0], ["1", "x"])
+
+
+ENVELOPE_RADICAL_CASES = [
+    (f"F{p}[x]/(x^{k})", truncated_polynomial_algebra(f"F{p}", k)) for p in (2, 3, 5, 7) for k in (2, 3, 4)
+] + [("Nakayama 2-cycle F3", nakayama_two_cycle(F3)), ("F3[x]/(x^2+1)", f9_over_f3())]
+
+
+@pytest.mark.parametrize("name,A", ENVELOPE_RADICAL_CASES, ids=[c[0] for c in ENVELOPE_RADICAL_CASES])
+def test_enveloping_radical_rule_matches_trace_chain(name, A):
+    E = Enveloping(A).algebra
+    # same structure constants, no rule: the p-power trace-form chain
+    plain = Algebra(E.field, E.mult, E.unit, check=False)
+    assert "radical_rule" not in plain._cache
+    assert algebra_radical(E).rows == algebra_radical(plain).rows
+
+
+def test_enveloping_radical_rule_is_lazy():
+    A = truncated_polynomial_algebra("F3", 3)
+    env = Enveloping(A)
+    assert "radical" not in A._cache and "radical" not in env.algebra._cache
+    algebra_radical(env.algebra)
+    assert "radical" in A._cache and "radical" in env.algebra._cache
+
+
+def test_enveloping_radical_rule_too_large_is_refused():
+    env = Enveloping(dual_numbers(F3))
+    E = env.algebra
+    env.algebra._cache["radical_rule"] = lambda: [E.basis_vector(i) for i in range(E.dim)]
+    with pytest.raises(AlgebraError, match="radical certification failed"):
+        algebra_radical(E)

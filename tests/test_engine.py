@@ -603,3 +603,36 @@ def test_module_iso_search():
     iso = module_iso_search(k1, k2)
     assert iso is not None and iso.is_iso()
     assert module_iso_search(k1, A.regular_module()) is None
+
+
+def test_sampler_member_fallback_catches_only_the_forced_refusal(monkeypatch):
+    from nangulate.complexes import ComplexError
+    from nangulate.verify import Sampler
+
+    forced = build_context(dual_numbers(F2), 3, "semisimple", force=True)
+    real_resolve = forced.resolve
+    calls = []
+
+    def refuse_first(M):
+        calls.append(M)
+        if len(calls) == 1:
+            raise ComplexError("slot 0 is not projective")
+        return real_resolve(M)
+
+    monkeypatch.setattr(forced, "resolve", refuse_first)
+    Sampler(forced, random.Random(3)).random_member()
+    assert len(calls) == 2  # the refusal fell back to a projective
+
+    def broken(M):
+        raise TypeError("not a refusal")
+
+    monkeypatch.setattr(forced, "resolve", broken)
+    with pytest.raises(TypeError, match="not a refusal"):
+        Sampler(forced, random.Random(3)).random_member()
+
+    # an unforced context never refuses a module, so the same error is a fault
+    ctx = build_context(dual_numbers(F2), 3, "quasi-periodic")
+    monkeypatch.setattr(ctx, "resolve", refuse_first)
+    calls.clear()
+    with pytest.raises(ComplexError):
+        Sampler(ctx, random.Random(3)).random_member()

@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nangulate.algebras import Algebra, Module, ModuleMap, cokernel, hom_basis
 from nangulate.builders import (
@@ -16,6 +17,7 @@ from nangulate.builders import (
 from nangulate.linalg import Mat, QQ, field_by_name, row_space_basis, vec_in_row_space
 from nangulate.structure import (
     UnsupportedRegime,
+    _subspace_is_ideal,
     algebra_radical,
     cosyzygy,
     injective_envelope,
@@ -317,3 +319,44 @@ def test_matrix_algebra_socle_is_whole():
     reg = A.regular_module()
     soc, _ = socle_module(reg)
     assert soc.dim == 4
+
+
+# -- the ideal certificate against the per-vector membership test ----------------
+
+
+def ideal_by_membership(A, basis):
+    """Every product v*b_i and b_i*v lies in the row space, one solve each."""
+    for v in basis.rows:
+        for i in range(A.dim):
+            b = A.basis_vector(i)
+            for prod in (A.multiply(tuple(v), b), A.multiply(b, tuple(v))):
+                if vec_in_row_space(prod, basis) is None:
+                    return False
+    return True
+
+
+IDEAL_CASES = [
+    truncated_polynomial_algebra(F3, 3),
+    path_algebra_a2(F2),
+    matrix_algebra_2x2(F2),
+    product_of_fields(F5, 2),
+]
+
+
+@st.composite
+def algebra_and_rows(draw):
+    A = draw(st.sampled_from(IDEAL_CASES))
+    p = A.field.p
+    rows = draw(st.lists(st.lists(st.integers(0, p - 1), min_size=A.dim, max_size=A.dim), max_size=A.dim + 1))
+    close = draw(st.booleans())
+    return A, Mat(A.field, rows, A.dim), close
+
+
+@settings(max_examples=150, deadline=None)
+@given(algebra_and_rows())
+def test_subspace_is_ideal_matches_membership_test(case):
+    A, rows, close = case
+    if close and rows.nrows:
+        # the two-sided ideal generated by the first row, so True cases occur
+        rows = principal_ideal(A, tuple(rows.rows[0]))
+    assert _subspace_is_ideal(A, rows) == ideal_by_membership(A, rows)
