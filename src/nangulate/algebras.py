@@ -20,6 +20,7 @@ from .linalg import (
     Mat,
     left_null_basis,
     row_space_basis,
+    solve_right,
     solve_xa_b,
 )
 
@@ -374,6 +375,138 @@ def hom_basis(M: Module, N: Module):
     return tuple(maps)
 
 
+class LinearProblem:
+    """A joint linear system over hom-space coordinates of named unknowns.
+
+    Each unknown ranges over a hom space (given by its basis); each equation
+    states   sum_terms  sign * L @ U_name @ R  =  rhs   entrywise, where L or
+    R may be None.  This is the only place where hom-space equations become a
+    matrix: the columns follow the unknowns and their bases in the order they
+    were added, the rows follow the equations and their entries row-major.
+    """
+
+    def __init__(self, field, want_cert=True):
+        self.field = field
+        self.want_cert = want_cert
+        self.unknowns = []  # (name, basis tuple, (m, n))
+        self.index = {}
+        self.equations = []  # (terms, rhs)
+
+    def add_unknown(self, name, basis, shape):
+        if name in self.index:
+            raise ValueError(f"duplicate unknown {name}")
+        self.index[name] = len(self.unknowns)
+        self.unknowns.append((name, tuple(basis), shape))
+
+    def add_equation(self, terms, rhs: Mat):
+        self.equations.append((tuple(terms), rhs))
+
+    def _offsets(self):
+        offsets = []
+        total = 0
+        for _, basis, _ in self.unknowns:
+            offsets.append(total)
+            total += len(basis)
+        return offsets, total
+
+    def matrix(self):
+        """(A, B) with the system reading A @ x = B for the coordinate column x."""
+        F = self.field
+        add, sub, mul = F.add, F.sub, F.mul
+        offsets, total = self._offsets()
+        rows = []
+        rhs_flat = []
+        for terms, rhs in self.equations:
+            m, n = rhs.nrows, rhs.ncols
+            eq_rows = [[F.zero] * total for _ in range(m * n)]
+            for name, L, R, sign in terms:
+                k = self.index[name]
+                _, basis, shape = self.unknowns[k]
+                off = offsets[k]
+                # vec(L @ e @ R)[(r, c)] = sum over nonzero e[i][j] of
+                # e[i][j] * L[r][i] * R[j][c]; hom bases are sparse, so
+                # accumulate outer products per nonzero entry
+                for bi, e in enumerate(basis):
+                    col = off + bi
+                    for i, erow in enumerate(e.mat.rows):
+                        for j, v in enumerate(erow):
+                            if v == F.zero:
+                                continue
+                            if L is None:
+                                if R is None:
+                                    r0 = i * n + j
+                                    cur = eq_rows[r0][col]
+                                    eq_rows[r0][col] = add(cur, v) if sign > 0 else sub(cur, v)
+                                else:
+                                    base = i * n
+                                    rrow = R.rows[j]
+                                    for c in range(n):
+                                        w = rrow[c]
+                                        if w != F.zero:
+                                            cur = eq_rows[base + c][col]
+                                            w = mul(v, w)
+                                            eq_rows[base + c][col] = add(cur, w) if sign > 0 else sub(cur, w)
+                            else:
+                                rrow = None if R is None else R.rows[j]
+                                for r in range(m):
+                                    lv = L.rows[r][i]
+                                    if lv == F.zero:
+                                        continue
+                                    w0 = mul(v, lv)
+                                    base = r * n
+                                    if R is None:
+                                        cur = eq_rows[base + j][col]
+                                        eq_rows[base + j][col] = add(cur, w0) if sign > 0 else sub(cur, w0)
+                                    else:
+                                        for c in range(n):
+                                            w = rrow[c]
+                                            if w != F.zero:
+                                                cur = eq_rows[base + c][col]
+                                                w = mul(w0, w)
+                                                eq_rows[base + c][col] = add(cur, w) if sign > 0 else sub(cur, w)
+            rows.extend(eq_rows)
+            rhs_flat.extend(rhs.flatten())
+        return Mat(F, rows, total), Mat(F, [[v] for v in rhs_flat], 1)
+
+    def assignment(self, coords):
+        """Dict name -> matrix of each unknown at the coordinate vector coords."""
+        F = self.field
+        offsets, _ = self._offsets()
+        out = {}
+        for (name, basis, shape), off in zip(self.unknowns, offsets):
+            acc = Mat.zeros(F, shape[0], shape[1])
+            for bi, e in enumerate(basis):
+                c = coords[off + bi]
+                if c != F.zero:
+                    acc = acc + e.mat.scale(c)
+            out[name] = acc
+        return out
+
+    def solve(self):
+        """Returns (assignment dict, None) or (None, certificate row).
+
+        The solution has every free coordinate at 0, so it depends only on
+        the column order and the row space of [A | B].
+        """
+        A, B = self.matrix()
+        Xsol, cert = solve_right(A, B, want_cert=self.want_cert)
+        if Xsol is None:
+            return None, cert
+        return self.assignment([r[0] for r in Xsol.rows]), None
+
+
+def solve_in_hom(M: Module, N: Module, L, R, rhs: Mat):
+    """The matrix of some U in Hom(M, N) with L @ U @ R = rhs, or None.
+
+    L or R may be None (no factor on that side).
+    """
+    prob = LinearProblem(M.algebra.field, want_cert=False)
+    prob.add_unknown("u", hom_basis(M, N), (M.dim, N.dim))
+    prob.add_equation([("u", L, R, +1)], rhs)
+    sol, _ = prob.solve()
+    return None if sol is None else sol["u"]
+
+
 # -- submodules, quotients, kernels ------------------------------------------
 
 
@@ -472,14 +605,6 @@ def image(f: ModuleMap):
 def cokernel(f: ModuleMap):
     """Cokernel with its projection."""
     return quotient_by_rows(f.target, row_space_basis(f.mat))
-
-
-def factor_through_inclusion(g: ModuleMap, incl: ModuleMap):
-    """Given g with image inside the submodule, write g = g' . incl."""
-    sol = solve_xa_b(incl.mat, g.mat)
-    if sol is None:
-        raise AlgebraError("map does not factor through the submodule")
-    return ModuleMap(g.source, incl.source, sol, check=False)
 
 
 def direct_sum_modules(mods):

@@ -9,7 +9,7 @@ action and the right action through sigma.
 
 from __future__ import annotations
 
-from .linalg import Mat, PrimeField, solve_xa_b
+from .linalg import ENUMERATION_LIMIT, Mat, PrimeField, solve_xa_b
 from .algebras import (
     Algebra,
     AlgebraError,
@@ -210,13 +210,13 @@ class TwistResult:
         self.iso = iso  # 1_A_sigma -> X, verified bimodule isomorphism
 
 
-def _generator_candidates(field, dim, degree, limit=4096):
+def _generator_candidates(field, dim, degree):
     """Deterministic candidate stream covering a grid large enough to hit a
     generator whenever the freeness determinant is not identically zero."""
     import itertools
 
     if isinstance(field, PrimeField):
-        if field.p**dim <= limit:
+        if field.p**dim <= ENUMERATION_LIMIT:
             for coords in itertools.product(range(field.p), repeat=dim):
                 yield tuple(field.of_int(c) for c in coords)
             return

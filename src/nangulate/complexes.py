@@ -14,19 +14,27 @@ a slot-by-slot back-substitution could miss solutions.
 
 from __future__ import annotations
 
+import itertools
+import random
 from functools import lru_cache
 
-from .linalg import Mat, solve_right, solve_xa_b
+from .linalg import ENUMERATION_LIMIT, Mat, PrimeField, null_right, solve_xa_b
 from .algebras import (
     Automorphism,
+    LinearProblem,
     Module,
     ModuleMap,
     direct_sum_modules,
     hom_basis,
     kernel,
+    solve_in_hom,
 )
 from .bimodules import twist_module
 from .structure import injective_envelope, is_projective, stable_zero_witness
+
+# random coefficient vectors find_complex_isomorphism tries when the chain-map
+# space is too large to enumerate
+_ISO_RANDOM_ATTEMPTS = 200
 
 
 class ComplexError(ValueError):
@@ -322,106 +330,75 @@ def homotopy_slot_types(X: PeriodicComplex, Y: PeriodicComplex, i: int):
     return src, tgt
 
 
-class LinearProblem:
-    """A joint linear system over hom-space coordinates of named unknowns.
+def _add_homotopy(prob, X: PeriodicComplex, Y: PeriodicComplex, name):
+    """Add unknowns name0..name{n-1}, name_i in Hom(X_{i+1}, Y_i).
 
-    Each unknown ranges over a hom space (given by its basis); each equation
-    states   sum_terms  sign * L @ U_name @ R  =  rhs   entrywise.
+    Returns boundary(i, sign): the terms sign * (f_i h_i + h_{i-1} g_{i-1})
+    of slot i, the wraparound h_{n+i} = Sigma h_i reusing the slot-(n-1)
+    unknown in slot 0.
     """
+    n = X.n
+    for i in range(n):
+        src, tgt = homotopy_slot_types(X, Y, i)
+        prob.add_unknown(f"{name}{i}", hom_basis(src, tgt), (src.dim, tgt.dim))
 
-    def __init__(self, field, want_cert=True):
-        self.field = field
-        self.want_cert = want_cert
-        self.unknowns = []  # (name, basis tuple, (m, n))
-        self.index = {}
-        self.equations = []  # (terms, rhs)
+    def boundary(i, sign):
+        return [
+            (f"{name}{i}", X.maps[i].mat, None, sign),
+            (f"{name}{(i - 1) % n}", None, Y.map_mat(i - 1), sign),
+        ]
 
-    def add_unknown(self, name, basis, shape):
-        if name in self.index:
-            raise ValueError(f"duplicate unknown {name}")
-        self.index[name] = len(self.unknowns)
-        self.unknowns.append((name, tuple(basis), shape))
+    return boundary
 
-    def add_equation(self, terms, rhs: Mat):
-        self.equations.append((tuple(terms), rhs))
 
-    def solve(self):
-        """Returns (assignment dict, None) or (None, certificate row)."""
-        F = self.field
-        add, sub, mul = F.add, F.sub, F.mul
-        offsets = []
-        total = 0
-        for name, basis, shape in self.unknowns:
-            offsets.append(total)
-            total += len(basis)
-        rows = []
-        rhs_flat = []
-        for terms, rhs in self.equations:
-            m, n = rhs.nrows, rhs.ncols
-            eq_rows = [[F.zero] * total for _ in range(m * n)]
-            for name, L, R, sign in terms:
-                k = self.index[name]
-                _, basis, shape = self.unknowns[k]
-                off = offsets[k]
-                # vec(L @ e @ R)[(r, c)] = sum over nonzero e[i][j] of
-                # e[i][j] * L[r][i] * R[j][c]; hom bases are sparse, so
-                # accumulate outer products per nonzero entry
-                for bi, e in enumerate(basis):
-                    emat = e.mat if hasattr(e, "mat") else e
-                    col = off + bi
-                    for i, erow in enumerate(emat.rows):
-                        for j, v in enumerate(erow):
-                            if v == F.zero:
-                                continue
-                            if L is None:
-                                if R is None:
-                                    r0 = i * n + j
-                                    cur = eq_rows[r0][col]
-                                    eq_rows[r0][col] = add(cur, v) if sign > 0 else sub(cur, v)
-                                else:
-                                    base = i * n
-                                    rrow = R.rows[j]
-                                    for c in range(n):
-                                        w = rrow[c]
-                                        if w != F.zero:
-                                            cur = eq_rows[base + c][col]
-                                            w = mul(v, w)
-                                            eq_rows[base + c][col] = add(cur, w) if sign > 0 else sub(cur, w)
-                            else:
-                                rrow = None if R is None else R.rows[j]
-                                for r in range(m):
-                                    lv = L.rows[r][i]
-                                    if lv == F.zero:
-                                        continue
-                                    w0 = mul(v, lv)
-                                    base = r * n
-                                    if R is None:
-                                        cur = eq_rows[base + j][col]
-                                        eq_rows[base + j][col] = add(cur, w0) if sign > 0 else sub(cur, w0)
-                                    else:
-                                        for c in range(n):
-                                            w = rrow[c]
-                                            if w != F.zero:
-                                                cur = eq_rows[base + c][col]
-                                                w = mul(w0, w)
-                                                eq_rows[base + c][col] = add(cur, w) if sign > 0 else sub(cur, w)
-            rows.extend(eq_rows)
-            rhs_flat.extend(rhs.flatten())
-        A = Mat(F, rows, total)
-        B = Mat(F, [[v] for v in rhs_flat], 1)
-        Xsol, cert = solve_right(A, B, want_cert=self.want_cert)
-        if Xsol is None:
-            return None, cert
-        out = {}
-        for (name, basis, shape), off in zip(self.unknowns, offsets):
-            acc = Mat.zeros(F, shape[0], shape[1])
-            for bi, e in enumerate(basis):
-                c = Xsol.rows[off + bi][0]
-                if c != F.zero:
-                    em = e.mat if hasattr(e, "mat") else e
-                    acc = acc + em.scale(c)
-            out[name] = acc
-        return out, None
+def _homotopy_from(sol, X: PeriodicComplex, Y: PeriodicComplex, name) -> Homotopy:
+    parts = []
+    for i in range(X.n):
+        src, tgt = homotopy_slot_types(X, Y, i)
+        parts.append(ModuleMap(src, tgt, sol[f"{name}{i}"], check=False))
+    return Homotopy(X, Y, parts)
+
+
+def chain_map_problem(X: PeriodicComplex, Y: PeriodicComplex, fixed=None) -> LinearProblem:
+    """The system of chain maps X -> Y, with unknowns c0..c{n-1}.
+
+    Square i reads f_i c_{i+1} - c_i g_i = 0, the last one closed by
+    Sigma c_0.  fixed maps a slot to a known component (a ModuleMap): it
+    gets no unknown, its terms move to the right-hand side, and squares
+    whose components are all fixed are left out.
+    """
+    fixed = fixed or {}
+    F = X.susp.algebra.field
+    n = X.n
+    prob = LinearProblem(F)
+    for i in range(n):
+        if i not in fixed:
+            prob.add_unknown(f"c{i}", hom_basis(X.objects[i], Y.objects[i]), (X.objects[i].dim, Y.objects[i].dim))
+    for i in range(n):
+        j = (i + 1) % n
+        terms = []
+        rhs = Mat.zeros(F, X.objects[i].dim, Y.objects[j].dim)
+        if j in fixed:
+            rhs = rhs - X.maps[i].mat @ fixed[j].mat
+        else:
+            terms.append((f"c{j}", X.maps[i].mat, None, +1))
+        if i in fixed:
+            rhs = rhs + fixed[i].mat @ Y.maps[i].mat
+        else:
+            terms.append((f"c{i}", None, Y.maps[i].mat, -1))
+        if terms:
+            prob.add_equation(terms, rhs)
+    return prob
+
+
+def chain_map_from(sol, X: PeriodicComplex, Y: PeriodicComplex, fixed=None) -> ChainMap:
+    """The ChainMap read off a solution of chain_map_problem(X, Y, fixed)."""
+    fixed = fixed or {}
+    parts = [
+        fixed[i] if i in fixed else ModuleMap(X.objects[i], Y.objects[i], sol[f"c{i}"], check=False)
+        for i in range(X.n)
+    ]
+    return ChainMap(X, Y, parts, check=False)
 
 
 def homotopy_between(phi: ChainMap, psi: ChainMap):
@@ -434,27 +411,14 @@ def homotopy_between(phi: ChainMap, psi: ChainMap):
     X, Y = phi.source, phi.target
     if psi.source != X or psi.target != Y:
         raise ComplexError("homotopy endpoints mismatch")
-    F = X.susp.algebra.field
-    prob = LinearProblem(F)
-    n = X.n
-    for i in range(n):
-        src, tgt = homotopy_slot_types(X, Y, i)
-        prob.add_unknown(f"h{i}", hom_basis(src, tgt), (src.dim, tgt.dim))
-    for i in range(n):
-        rhs = phi.parts[i].mat - psi.parts[i].mat
-        terms = [
-            (f"h{i}", X.maps[i].mat, None, +1),
-            (f"h{(i - 1) % n}", None, Y.map_mat(i - 1), +1),
-        ]
-        prob.add_equation(terms, rhs)
+    prob = LinearProblem(X.susp.algebra.field)
+    boundary = _add_homotopy(prob, X, Y, "h")
+    for i in range(X.n):
+        prob.add_equation(boundary(i, +1), phi.parts[i].mat - psi.parts[i].mat)
     sol, cert = prob.solve()
     if sol is None:
         return None, cert
-    parts = []
-    for i in range(n):
-        src, tgt = homotopy_slot_types(X, Y, i)
-        parts.append(ModuleMap(src, tgt, sol[f"h{i}"], check=False))
-    return Homotopy(X, Y, parts), None
+    return _homotopy_from(sol, X, Y, "h"), None
 
 
 def is_contractible(X: PeriodicComplex) -> bool:
@@ -470,52 +434,20 @@ def is_homotopy_equivalence(phi: ChainMap):
     """
     X, Y = phi.source, phi.target
     F = X.susp.algebra.field
-    n = X.n
-    prob = LinearProblem(F)
-    for i in range(n):
-        prob.add_unknown(f"p{i}", hom_basis(Y.objects[i], X.objects[i]), (Y.objects[i].dim, X.objects[i].dim))
-    for i in range(n):
-        src, tgt = homotopy_slot_types(X, X, i)
-        prob.add_unknown(f"hx{i}", hom_basis(src, tgt), (src.dim, tgt.dim))
-    for i in range(n):
-        src, tgt = homotopy_slot_types(Y, Y, i)
-        prob.add_unknown(f"hy{i}", hom_basis(src, tgt), (src.dim, tgt.dim))
-    # psi is a chain map
-    for i in range(n):
-        terms = [
-            (f"p{(i + 1) % n}", Y.maps[i].mat, None, +1),
-            (f"p{i}", None, X.maps[i].mat, -1),
-        ]
-        prob.add_equation(terms, Mat.zeros(F, Y.objects[i].dim, X.objects[(i + 1) % n].dim))
+    # psi: Y -> X is a chain map
+    prob = chain_map_problem(Y, X)
+    hx = _add_homotopy(prob, X, X, "hx")
+    hy = _add_homotopy(prob, Y, Y, "hy")
     # phi psi - id_X is the boundary of hx
-    for i in range(n):
-        terms = [
-            (f"p{i}", phi.parts[i].mat, None, +1),
-            (f"hx{i}", X.maps[i].mat, None, -1),
-            (f"hx{(i - 1) % n}", None, X.map_mat(i - 1), -1),
-        ]
-        prob.add_equation(terms, Mat.identity(F, X.objects[i].dim))
+    for i in range(X.n):
+        prob.add_equation([(f"c{i}", phi.parts[i].mat, None, +1)] + hx(i, -1), Mat.identity(F, X.objects[i].dim))
     # psi phi - id_Y is the boundary of hy
-    for i in range(n):
-        terms = [
-            (f"p{i}", None, phi.parts[i].mat, +1),
-            (f"hy{i}", Y.maps[i].mat, None, -1),
-            (f"hy{(i - 1) % n}", None, Y.map_mat(i - 1), -1),
-        ]
-        prob.add_equation(terms, Mat.identity(F, Y.objects[i].dim))
-    sol, cert = prob.solve()
+    for i in range(X.n):
+        prob.add_equation([(f"c{i}", None, phi.parts[i].mat, +1)] + hy(i, -1), Mat.identity(F, Y.objects[i].dim))
+    sol, _ = prob.solve()
     if sol is None:
         return None
-    psi = ChainMap(Y, X, [ModuleMap(Y.objects[i], X.objects[i], sol[f"p{i}"], check=False) for i in range(n)], check=False)
-    hx_parts = []
-    for i in range(n):
-        src, tgt = homotopy_slot_types(X, X, i)
-        hx_parts.append(ModuleMap(src, tgt, sol[f"hx{i}"], check=False))
-    hy_parts = []
-    for i in range(n):
-        src, tgt = homotopy_slot_types(Y, Y, i)
-        hy_parts.append(ModuleMap(src, tgt, sol[f"hy{i}"], check=False))
-    return psi, Homotopy(X, X, hx_parts), Homotopy(Y, Y, hy_parts)
+    return chain_map_from(sol, Y, X), _homotopy_from(sol, X, X, "hx"), _homotopy_from(sol, Y, Y, "hy")
 
 
 def mapping_cone(phi: ChainMap) -> PeriodicComplex:
@@ -565,24 +497,13 @@ def chain_map_solve(X: PeriodicComplex, Y: PeriodicComplex, constraints):
     constraints is a list of (slot, L, R, rhs) demanding L @ phi_slot @ R = rhs.
     Returns (ChainMap, None) or (None, cert).
     """
-    F = X.susp.algebra.field
-    n = X.n
-    prob = LinearProblem(F)
-    for i in range(n):
-        prob.add_unknown(f"c{i}", hom_basis(X.objects[i], Y.objects[i]), (X.objects[i].dim, Y.objects[i].dim))
-    for i in range(n):
-        terms = [
-            (f"c{(i + 1) % n}", X.maps[i].mat, None, +1),
-            (f"c{i}", None, Y.maps[i].mat, -1),
-        ]
-        prob.add_equation(terms, Mat.zeros(F, X.objects[i].dim, Y.objects[(i + 1) % n].dim))
+    prob = chain_map_problem(X, Y)
     for slot, L, R, rhs in constraints:
         prob.add_equation([(f"c{slot}", L, R, +1)], rhs)
     sol, cert = prob.solve()
     if sol is None:
         return None, cert
-    parts = [ModuleMap(X.objects[i], Y.objects[i], sol[f"c{i}"], check=False) for i in range(n)]
-    return ChainMap(X, Y, parts, check=False), None
+    return chain_map_from(sol, X, Y), None
 
 
 def coboundary_chain_map(X: PeriodicComplex, Y: PeriodicComplex, t_parts) -> ChainMap:
@@ -614,11 +535,15 @@ def reduce_stably_zero(phi: ChainMap):
     if M.dim > 0:
         I_M, mono = injective_envelope(M)
         # alpha~: extend the envelope mono along the kernel inclusion
-        alpha = _solve_extension(inclX.mat, mono.mat, X.objects[0], I_M)
+        alpha = solve_in_hom(X.objects[0], I_M, inclX.mat, None, mono.mat)
+        if alpha is None:
+            raise ComplexError("injectivity extension unexpectedly failed")
         # pi: corestriction of the wrap map of Y onto Sigma N
         pi = solve_pi(Y, inclY)
         # beta~: lift Sigma kappa along pi (the suspended envelope is projective)
-        beta = _solve_lift(pi, kappa.mat, susp.apply_module(I_M), Y.objects[n - 1])
+        beta = solve_in_hom(susp.apply_module(I_M), Y.objects[n - 1], None, pi, kappa.mat)
+        if beta is None:
+            raise ComplexError("projectivity lift unexpectedly failed")
         t_mat = alpha @ beta
         src, tgt = homotopy_slot_types(X, Y, n - 1)
         t_parts = list(zero_t)
@@ -635,7 +560,9 @@ def reduce_stably_zero(phi: ChainMap):
         if ci.is_zero():
             continue
         src, tgt = homotopy_slot_types(X, Y, i)
-        s_mat = _solve_factor(X.maps[i].mat, ci.mat, src, tgt)
+        s_mat = solve_in_hom(src, tgt, X.maps[i].mat, None, ci.mat)
+        if s_mat is None:
+            raise ComplexError("slot clearing unexpectedly failed")
         s_parts = [ModuleMap.zero(*homotopy_slot_types(X, Y, j)) for j in range(n)]
         s_parts[i] = ModuleMap(src, tgt, s_mat, check=False)
         cur = cur - coboundary_chain_map(X, Y, s_parts)
@@ -654,43 +581,7 @@ def solve_pi(Y: PeriodicComplex, inclY: ModuleMap) -> Mat:
     return pi
 
 
-def _solve_extension(incl_mat: Mat, target_mat: Mat, domain: Module, codomain: Module) -> Mat:
-    """U in Hom(domain, codomain) with incl_mat @ U = target_mat."""
-    F = domain.algebra.field
-    prob = LinearProblem(F)
-    prob.add_unknown("u", hom_basis(domain, codomain), (domain.dim, codomain.dim))
-    prob.add_equation([("u", incl_mat, None, +1)], target_mat)
-    sol, cert = prob.solve()
-    if sol is None:
-        raise ComplexError("injectivity extension unexpectedly failed")
-    return sol["u"]
-
-
-def _solve_lift(pi: Mat, rhs: Mat, domain: Module, codomain: Module) -> Mat:
-    """U in Hom(domain, codomain) with U @ pi = rhs."""
-    F = domain.algebra.field
-    prob = LinearProblem(F)
-    prob.add_unknown("u", hom_basis(domain, codomain), (domain.dim, codomain.dim))
-    prob.add_equation([("u", None, pi, +1)], rhs)
-    sol, cert = prob.solve()
-    if sol is None:
-        raise ComplexError("projectivity lift unexpectedly failed")
-    return sol["u"]
-
-
-def _solve_factor(f_mat: Mat, rhs: Mat, domain: Module, codomain: Module) -> Mat:
-    """U in Hom(domain, codomain) with f_mat @ U = rhs (factor through image)."""
-    F = domain.algebra.field
-    prob = LinearProblem(F)
-    prob.add_unknown("u", hom_basis(domain, codomain), (domain.dim, codomain.dim))
-    prob.add_equation([("u", f_mat, None, +1)], rhs)
-    sol, cert = prob.solve()
-    if sol is None:
-        raise ComplexError("slot clearing unexpectedly failed")
-    return sol["u"]
-
-
-def find_complex_isomorphism(X: PeriodicComplex, Y: PeriodicComplex, attempts=200, rng=None):
+def find_complex_isomorphism(X: PeriodicComplex, Y: PeriodicComplex):
     """Search for a degreewise-invertible chain map X -> Y (None if not found).
 
     Solves the chain-map space once, then scans deterministic combinations of
@@ -700,71 +591,19 @@ def find_complex_isomorphism(X: PeriodicComplex, Y: PeriodicComplex, attempts=20
         return None
     F = X.susp.algebra.field
     n = X.n
-    # basis of the space of chain maps, via the homogeneous global system
-    prob = LinearProblem(F)
-    for i in range(n):
-        prob.add_unknown(f"c{i}", hom_basis(X.objects[i], Y.objects[i]), (X.objects[i].dim, Y.objects[i].dim))
-    for i in range(n):
-        terms = [
-            (f"c{(i + 1) % n}", X.maps[i].mat, None, +1),
-            (f"c{i}", None, Y.maps[i].mat, -1),
-        ]
-        prob.add_equation(terms, Mat.zeros(F, X.objects[i].dim, Y.objects[(i + 1) % n].dim))
-    # assemble the homogeneous solution space by reusing solve on zero rhs:
-    # collect kernel of the assembled system
-    offsets = []
-    total = 0
-    for name, basis, shape in prob.unknowns:
-        offsets.append(total)
-        total += len(basis)
-    rows = []
-    for terms, rhs in prob.equations:
-        m, nn = rhs.nrows, rhs.ncols
-        eq_rows = [[F.zero] * total for _ in range(m * nn)]
-        for name, L, R, sign in terms:
-            k = prob.index[name]
-            _, basis, shape = prob.unknowns[k]
-            off = offsets[k]
-            for bi, e in enumerate(basis):
-                contrib = e.mat
-                if L is not None:
-                    contrib = L @ contrib
-                if R is not None:
-                    contrib = contrib @ R
-                flat = contrib.flatten()
-                col = off + bi
-                for r, v in enumerate(flat):
-                    if v != F.zero:
-                        eq_rows[r][col] = F.add(eq_rows[r][col], v) if sign > 0 else F.sub(eq_rows[r][col], v)
-        rows.extend(eq_rows)
-    from .linalg import null_right, PrimeField
-
-    K = null_right(Mat(F, rows, total))
+    # basis of the space of chain maps: the kernel of the homogeneous system
+    prob = chain_map_problem(X, Y)
+    A, _ = prob.matrix()
+    K = null_right(A)
     dim_sol = K.ncols
-
-    def vector_to_chain(vec):
-        parts = []
-        for (name, basis, shape), off in zip(prob.unknowns, offsets):
-            acc = Mat.zeros(F, shape[0], shape[1])
-            for bi, e in enumerate(basis):
-                c = vec[off + bi]
-                if c != F.zero:
-                    acc = acc + e.mat.scale(c)
-            parts.append(acc)
-        return parts
-
-    candidates = []
-    if isinstance(F, PrimeField) and F.p**dim_sol <= 4096:
-        import itertools
-
-        for coeffs in itertools.product(range(F.p), repeat=dim_sol):
-            candidates.append(coeffs)
+    total = A.ncols
+    if isinstance(F, PrimeField) and F.p**dim_sol <= ENUMERATION_LIMIT:
+        candidates = itertools.product(range(F.p), repeat=dim_sol)
     else:
-        import random
-
-        r = rng or random.Random(0)
-        for _ in range(attempts):
-            candidates.append(tuple(F.of_int(r.randrange(max(F.p, 7))) for _ in range(dim_sol)))
+        rng = random.Random(0)
+        candidates = [
+            tuple(F.of_int(rng.randrange(max(F.p, 7))) for _ in range(dim_sol)) for _ in range(_ISO_RANDOM_ATTEMPTS)
+        ]
     for coeffs in candidates:
         if all(c == F.zero for c in coeffs):
             continue
@@ -773,8 +612,7 @@ def find_complex_isomorphism(X: PeriodicComplex, Y: PeriodicComplex, attempts=20
             if coeffs[j] != F.zero:
                 for r in range(total):
                     vec[r] = F.add(vec[r], F.mul(coeffs[j], K.rows[r][j]))
-        mats = vector_to_chain(vec)
-        if all(m.nrows == m.ncols and m.is_invertible() for m in mats):
-            parts = [ModuleMap(X.objects[i], Y.objects[i], mats[i], check=False) for i in range(n)]
-            return ChainMap(X, Y, parts, check=False)
+        sol = prob.assignment(vec)
+        if all(m.nrows == m.ncols and m.is_invertible() for m in sol.values()):
+            return chain_map_from(sol, X, Y)
     return None

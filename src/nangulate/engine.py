@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 
-from .linalg import Mat, PrimeField, solve_right, solve_xa_b, row_space_basis
+from .linalg import ENUMERATION_LIMIT, Mat, PrimeField, solve_right, solve_xa_b, row_space_basis
 from .algebras import (
     Algebra,
     AlgebraError,
@@ -25,6 +25,7 @@ from .algebras import (
     direct_sum_modules,
     hom_basis,
     kernel,
+    solve_in_hom,
     submodule_from_rows,
 )
 from .structure import (
@@ -50,9 +51,10 @@ from .bimodules import (
 from .complexes import (
     ChainMap,
     ComplexError,
-    LinearProblem,
     PeriodicComplex,
     Suspension,
+    chain_map_from,
+    chain_map_problem,
     coboundary_chain_map,
     conjugate_complex,
     direct_sum_complexes,
@@ -111,7 +113,7 @@ class MembershipCertificate:
         return self.verdict
 
 
-def module_iso_search(M: Module, N: Module, limit=4096):
+def module_iso_search(M: Module, N: Module):
     """Search for a module isomorphism M -> N (None if not found/doesn't exist).
 
     Over tiny coefficient spaces the hom-space is enumerated exhaustively, so
@@ -128,7 +130,7 @@ def module_iso_search(M: Module, N: Module, limit=4096):
         return None
     F = M.algebra.field
     k = len(basis)
-    if isinstance(F, PrimeField) and F.p**k <= limit:
+    if isinstance(F, PrimeField) and F.p**k <= ENUMERATION_LIMIT:
         for coeffs in itertools.product(range(F.p), repeat=k):
             mat = Mat.zeros(F, M.dim, N.dim)
             for c, b in zip(coeffs, basis):
@@ -390,10 +392,10 @@ class AngulationContext:
         except (ComplexError, EngineError, AlgebraError) as exc:
             return MembershipCertificate(False, f"no fixed resolution for the kernel: {exc}")
         _, inclT = z1(T)
-        phi, cert = self._anchored_chain_map(X, inclX, T, inclT, rho.mat)
+        phi, _, cert = self._anchored_chain_map(X, inclX, T, inclT, rho.mat)
         if phi is None:
             return MembershipCertificate(False, "no stably-anchored comparison map", cert=cert)
-        psi, cert2 = self._anchored_chain_map(T, inclT, X, inclX, rho.mat.inverse())
+        psi, _, cert2 = self._anchored_chain_map(T, inclT, X, inclX, rho.mat.inverse())
         if psi is None:
             return MembershipCertificate(
                 False, "no stably-anchored reverse comparison", comparison=phi, cert=cert2
@@ -410,23 +412,15 @@ class AngulationContext:
         finally:
             self.pretwist = saved
 
-    def _anchored_chain_map(self, X, inclX, Y, inclY, anchor_mat):
-        """Chain map X -> Y whose kernel-level part is stably anchor_mat."""
-        F = self.algebra.field
-        n = self.n
+    def _anchored_problem(self, X, inclX, Y, inclY, anchor_mat):
+        """The system of chain maps X -> Y whose kernel-level part is stably anchor_mat.
+
+        On top of the squares: inclX c_0 - mono kappa inclY = anchor_mat inclY
+        with kappa in Hom(I_M, N), or without kappa when M = 0.
+        """
         M = inclX.source
         N = inclY.source
-        prob = LinearProblem(F, want_cert=True)
-        for i in range(n):
-            prob.add_unknown(
-                f"c{i}", hom_basis(X.objects[i], Y.objects[i]), (X.objects[i].dim, Y.objects[i].dim)
-            )
-        for i in range(n):
-            terms = [
-                (f"c{(i + 1) % n}", X.maps[i].mat, None, +1),
-                (f"c{i}", None, Y.maps[i].mat, -1),
-            ]
-            prob.add_equation(terms, Mat.zeros(F, X.objects[i].dim, Y.objects[(i + 1) % n].dim))
+        prob = chain_map_problem(X, Y)
         anchor_rhs = anchor_mat @ inclY.mat
         if M.dim > 0:
             I_M, mono = injective_envelope(M)
@@ -436,11 +430,17 @@ class AngulationContext:
             )
         else:
             prob.add_equation([("c0", inclX.mat, None, +1)], anchor_rhs)
-        sol, cert = prob.solve()
+        return prob
+
+    def _anchored_chain_map(self, X, inclX, Y, inclY, anchor_mat):
+        """(phi, kappa, None) for a solution of _anchored_problem, or (None, None, cert).
+
+        kappa is None when M = 0.
+        """
+        sol, cert = self._anchored_problem(X, inclX, Y, inclY, anchor_mat).solve()
         if sol is None:
-            return None, cert
-        parts = [ModuleMap(X.objects[i], Y.objects[i], sol[f"c{i}"], check=False) for i in range(n)]
-        return ChainMap(X, Y, parts, check=False), None
+            return None, None, cert
+        return chain_map_from(sol, X, Y), sol.get("kappa"), None
 
     # -- lifting ---------------------------------------------------------------
 
@@ -456,41 +456,15 @@ class AngulationContext:
         return out
 
     def _lift_base(self, h, X, Y):
-        F = self.algebra.field
         n = self.n
         M, inclX = z1(X)
         N, inclY = z1(Y)
         if h.source != M or h.target != N:
             raise EngineError("kernel-level map has wrong endpoints")
-        prob = LinearProblem(F)
-        for i in range(n):
-            prob.add_unknown(
-                f"c{i}", hom_basis(X.objects[i], Y.objects[i]), (X.objects[i].dim, Y.objects[i].dim)
-            )
-        for i in range(n):
-            terms = [
-                (f"c{(i + 1) % n}", X.maps[i].mat, None, +1),
-                (f"c{i}", None, Y.maps[i].mat, -1),
-            ]
-            prob.add_equation(terms, Mat.zeros(F, X.objects[i].dim, Y.objects[(i + 1) % n].dim))
-        if M.dim > 0:
-            I_M, mono = injective_envelope(M)
-            prob.add_unknown("kappa", hom_basis(I_M, N), (I_M.dim, N.dim))
-            prob.add_equation(
-                [("c0", inclX.mat, None, +1), ("kappa", mono.mat, inclY.mat, -1)],
-                h.mat @ inclY.mat,
-            )
-        else:
-            prob.add_equation([("c0", inclX.mat, None, +1)], h.mat @ inclY.mat)
-        sol, cert = prob.solve()
-        if sol is None:
+        phi, kappa_mat, _ = self._anchored_chain_map(X, inclX, Y, inclY, h.mat)
+        if phi is None:
             raise EngineError("no stably-anchored lift exists (inputs not members?)")
-        parts = [ModuleMap(X.objects[i], Y.objects[i], sol[f"c{i}"], check=False) for i in range(n)]
-        phi = ChainMap(X, Y, parts, check=False)
-        if M.dim == 0:
-            return phi
-        kappa_mat = sol["kappa"]
-        if kappa_mat.is_zero():
+        if M.dim == 0 or kappa_mat.is_zero():
             return phi
         # subtract a null-homotopic correction realizing the kappa slack
         I_M, mono = injective_envelope(M)
@@ -630,34 +604,14 @@ class AngulationContext:
 
     def complete_to_chain_map(self, X, Y, phi0: ModuleMap, phi1: ModuleMap):
         """(N3): extend a commuting first square to a full chain map, or None."""
-        F = self.algebra.field
-        n = self.n
         if X.maps[0].mat @ phi1.mat != phi0.mat @ Y.maps[0].mat:
             raise EngineError("first square does not commute")
-        prob = LinearProblem(F)
-        for i in range(2, n):
-            prob.add_unknown(
-                f"c{i}", hom_basis(X.objects[i], Y.objects[i]), (X.objects[i].dim, Y.objects[i].dim)
-            )
-        # square 1: f1 c2 = phi1 g1
-        prob.add_equation([(f"c2", X.maps[1].mat, None, +1)], phi1.mat @ Y.maps[1].mat)
-        for i in range(2, n - 1):
-            terms = [
-                (f"c{i + 1}", X.maps[i].mat, None, +1),
-                (f"c{i}", None, Y.maps[i].mat, -1),
-            ]
-            prob.add_equation(terms, Mat.zeros(F, X.objects[i].dim, Y.objects[i + 1].dim))
-        # wrap square: f_{n-1} Sigma phi0 = c_{n-1} g_{n-1}
-        prob.add_equation(
-            [(f"c{n - 1}", None, Y.maps[n - 1].mat, +1)], X.maps[n - 1].mat @ phi0.mat
-        )
-        sol, cert = prob.solve()
+        fixed = {0: phi0, 1: phi1}
+        prob = chain_map_problem(X, Y, fixed)
+        sol, _ = prob.solve()
         if sol is None:
             return None
-        parts = [phi0, phi1] + [
-            ModuleMap(X.objects[i], Y.objects[i], sol[f"c{i}"], check=False) for i in range(2, n)
-        ]
-        out = ChainMap(X, Y, parts, check=False)
+        out = chain_map_from(sol, X, Y, fixed)
         out._validate()
         return out
 
@@ -697,12 +651,12 @@ class AngulationContext:
         F = self.algebra.field
         n = self.n
         a = (
-            _try_solve_hom(X.objects[1], X.objects[0], X.maps[0].mat, None, Mat.identity(F, X.objects[0].dim))
+            solve_in_hom(X.objects[1], X.objects[0], X.maps[0].mat, None, Mat.identity(F, X.objects[0].dim))
             is not None
         )
         last_src = X.objects[n - 1]
         b = (
-            _try_solve_hom(last_src, X.objects[n - 2], None, X.maps[n - 2].mat, Mat.identity(F, last_src.dim))
+            solve_in_hom(last_src, X.objects[n - 2], None, X.maps[n - 2].mat, Mat.identity(F, last_src.dim))
             is not None
         )
         c = X.maps[n - 1].is_zero()
@@ -778,19 +732,10 @@ class AngulationContext:
 
 
 def _solve_hom_equation(domain: Module, codomain: Module, L, R, rhs: Mat) -> Mat:
-    out = _try_solve_hom(domain, codomain, L, R, rhs)
+    out = solve_in_hom(domain, codomain, L, R, rhs)
     if out is None:
         raise EngineError("guaranteed-solvable hom equation failed")
     return out
-
-
-def _try_solve_hom(domain: Module, codomain: Module, L, R, rhs: Mat):
-    F = domain.algebra.field
-    prob = LinearProblem(F)
-    prob.add_unknown("u", hom_basis(domain, codomain), (domain.dim, codomain.dim))
-    prob.add_equation([("u", L, R, +1)], rhs)
-    sol, cert = prob.solve()
-    return None if sol is None else sol["u"]
 
 
 def _find_projective_summand(K: Module):
@@ -804,7 +749,7 @@ def _find_projective_summand(K: Module):
         if not basis:
             continue
         k = len(basis)
-        if isinstance(F, PrimeField) and F.p**k <= 4096:
+        if isinstance(F, PrimeField) and F.p**k <= ENUMERATION_LIMIT:
             coeff_iter = itertools.product(range(F.p), repeat=k)
         else:
             coeff_iter = _small_combos(k)
@@ -816,7 +761,7 @@ def _find_projective_summand(K: Module):
             if mat.is_zero():
                 continue
             phi = ModuleMap(P, K, mat, check=False)
-            psi_mat = _try_solve_hom(K, P, mat, None, Mat.identity(F, P.dim))
+            psi_mat = solve_in_hom(K, P, mat, None, Mat.identity(F, P.dim))
             if psi_mat is not None:
                 return P, phi, ModuleMap(K, P, psi_mat, check=False)
     return None
@@ -921,8 +866,8 @@ def complete_semisimple(susp: Suspension, n: int, f: ModuleMap) -> PeriodicCompl
 
     F = f.source.algebra.field
     W, incl, onto = image(f)
-    section = _try_solve_hom(W, f.source, None, onto.mat, Mat.identity(F, W.dim))
-    retraction = _try_solve_hom(f.target, W, incl.mat, None, Mat.identity(F, W.dim))
+    section = solve_in_hom(W, f.source, None, onto.mat, Mat.identity(F, W.dim))
+    retraction = solve_in_hom(f.target, W, incl.mat, None, Mat.identity(F, W.dim))
     if section is None or retraction is None:
         raise EngineError("map does not split (no contractible completion)")
     K, inclK = kernel(f)

@@ -11,7 +11,7 @@ import json
 
 from .linalg import Mat, field_by_name
 from .algebras import Algebra, AlgebraError, Automorphism, Module, ModuleMap
-from .complexes import ChainMap, PeriodicComplex, Suspension
+from .complexes import ChainMap, ComplexError, PeriodicComplex, Suspension
 
 
 class FormatError(ValueError):
@@ -174,8 +174,6 @@ def complex_from_json(A: Algebra, data) -> PeriodicComplex:
         tgt = objects[i + 1] if i < data["n"] - 1 else susp.apply_module(objects[0])
         mat = mat_from_json(A.field, mdata, nrows=src.dim, ncols=tgt.dim)
         maps.append(ModuleMap(src, tgt, mat, check=False))
-    from .complexes import ComplexError
-
     try:
         return PeriodicComplex(susp, objects, maps)
     except ComplexError as exc:
@@ -214,7 +212,7 @@ def context_to_json(ctx):
 
 
 def context_from_json(data):
-    from .engine import build_context
+    from .engine import EngineError, build_context
 
     A = algebra_from_json(data["algebra"])
     unit = None
@@ -223,14 +221,19 @@ def context_from_json(data):
     ctx = build_context(A, data["n"], data["mode"], unit=unit, force=data.get("forced", False))
     if data.get("pretwist"):
         ctx = ctx.twisted(tuple(_parse_scalar(A.field, c) for c in data["pretwist"]))
+    # the cached pairs are derived data: replay each module in file order,
+    # which also rebuilds the iso-class reuse, and refuse a file that differs
     for entry in data.get("cache", ()):
         M = module_from_json(A, entry["module"])
         T = complex_from_json(A, entry["resolution"])
-        from .complexes import z1
-
-        K, _incl = z1(T)
-        rho = ModuleMap(M, K, mat_from_json(A.field, entry["rho"], nrows=M.dim, ncols=K.dim), check=False)
-        ctx._resolve_cache[M] = (T, rho)
+        try:
+            T0, rho0 = ctx._resolve_base(M)
+        except (ComplexError, EngineError, AlgebraError) as exc:
+            raise FormatError(f"cached module has no fixed resolution: {exc}") from None
+        if T != T0:
+            raise FormatError("cached resolution is not the context's fixed resolution of its module")
+        if mat_from_json(A.field, entry["rho"], nrows=M.dim, ncols=rho0.target.dim) != rho0.mat:
+            raise FormatError("cached rho is not the context's fixed isomorphism onto Z_1")
     return ctx
 
 

@@ -14,6 +14,11 @@ from __future__ import annotations
 from fractions import Fraction
 
 
+# the most coefficient tuples (p ** k of them) an exhaustive search over F_p
+# enumerates before it falls back on a partial one
+ENUMERATION_LIMIT = 4096
+
+
 class PrimeField:
     """F_p for a small prime p (p <= 97 is all we ever need)."""
 

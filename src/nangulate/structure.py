@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .linalg import Mat, PrimeField, left_null_basis, row_space_basis, solve_right, solve_xa_b
+from .linalg import ENUMERATION_LIMIT, Mat, PrimeField, left_null_basis, row_space_basis, solve_xa_b
 from .algebras import (
     Algebra,
     AlgebraError,
@@ -29,6 +29,7 @@ from .algebras import (
     direct_sum_modules,
     hom_basis,
     quotient_by_rows,
+    solve_in_hom,
     submodule_from_rows,
 )
 
@@ -349,7 +350,7 @@ def _poly_eval_rel(A: Algebra, unit, coeffs, z):
     return acc
 
 
-def _corner_candidates(A: Algebra, unit, basis_rows, limit=4096):
+def _corner_candidates(A: Algebra, unit, basis_rows):
     """Deterministic stream of candidate elements of a corner subalgebra."""
     F = A.field
     vecs = [tuple(r) for r in basis_rows]
@@ -358,7 +359,7 @@ def _corner_candidates(A: Algebra, unit, basis_rows, limit=4096):
     for i in range(len(vecs)):
         for j in range(i + 1, len(vecs)):
             yield tuple(F.add(a, b) for a, b in zip(vecs[i], vecs[j]))
-    if isinstance(F, PrimeField) and F.p ** len(vecs) <= limit:
+    if isinstance(F, PrimeField) and F.p ** len(vecs) <= ENUMERATION_LIMIT:
         import itertools
 
         for coeffs in itertools.product(range(F.p), repeat=len(vecs)):
@@ -703,24 +704,8 @@ def stable_zero_witness(f: ModuleMap):
         Z = Module.zero(M.algebra)
         return ModuleMap(Z, f.target, Mat(M.algebra.field, [], ncols=f.target.dim), check=False)
     I, mono = injective_envelope(M)
-    # unknown kappa in Hom(I, N) with mono . kappa = f
-    basis = hom_basis(I, f.target)
-    if not basis:
-        return None if not f.is_zero() else ModuleMap.zero(I, f.target)
-    F = M.algebra.field
-    cols = []
-    for b in basis:
-        cols.append((mono.mat @ b.mat).flatten())
-    Amat = Mat(F, list(zip(*cols)), len(cols)) if cols else Mat(F, [], ncols=0)
-    Bmat = Mat(F, [[v] for v in f.mat.flatten()], 1)
-    X, _ = solve_right(Amat, Bmat, want_cert=False)
-    if X is None:
-        return None
-    out = ModuleMap.zero(I, f.target)
-    for c, b in zip((r[0] for r in X.rows), basis):
-        if c != F.zero:
-            out = out + b.scale(c)
-    return out
+    kappa = solve_in_hom(I, f.target, mono.mat, None, f.mat)
+    return None if kappa is None else ModuleMap(I, f.target, kappa, check=False)
 
 
 def stable_equal(f: ModuleMap, g: ModuleMap) -> bool:
@@ -746,27 +731,9 @@ def split_factorization(f: ModuleMap):
 
     W, incl, onto = image(f)
     Iw = Mat.identity(A.field, W.dim)
-    section = _solve_hom(W, f.source, lambda X: X @ onto.mat, Iw)
-    retraction = _solve_hom(f.target, W, lambda X: incl.mat @ X, Iw)
+    section = solve_in_hom(W, f.source, None, onto.mat, Iw)
+    retraction = solve_in_hom(f.target, W, incl.mat, None, Iw)
     if section is None or retraction is None:
         raise AlgebraError("semisimple splitting failed")
     return onto, incl, ModuleMap(W, f.source, section, check=False), ModuleMap(f.target, W, retraction, check=False)
 
-
-def _solve_hom(M: Module, N: Module, shape, rhs: Mat):
-    """Solve shape(X) = rhs over X in Hom(M, N).  Returns the matrix or None."""
-    basis = hom_basis(M, N)
-    F = M.algebra.field
-    if not basis:
-        return Mat.zeros(F, M.dim, N.dim) if rhs.is_zero() else None
-    cols = [shape(b.mat).flatten() for b in basis]
-    Amat = Mat(F, list(zip(*cols)), len(cols))
-    Bmat = Mat(F, [[v] for v in rhs.flatten()], 1)
-    X, _ = solve_right(Amat, Bmat, want_cert=False)
-    if X is None:
-        return None
-    out = Mat.zeros(F, M.dim, N.dim)
-    for c, b in zip((r[0] for r in X.rows), basis):
-        if c != F.zero:
-            out = out + b.mat.scale(c)
-    return out

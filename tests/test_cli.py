@@ -5,7 +5,8 @@ import pytest
 from nangulate import io as nio
 from nangulate.builders import dual_numbers, product_of_fields, path_algebra_a2
 from nangulate.cli import main
-from nangulate.complexes import Suspension, trivial_complex
+from nangulate.algebras import Module
+from nangulate.complexes import Suspension, trivial_complex, z1
 from nangulate.engine import build_context, r_u_complex
 from nangulate.linalg import field_by_name
 
@@ -152,6 +153,50 @@ def test_cli_check_angle(tmp_path):
     nio.save_json_file(anglefile, bad)
     assert main(["check-angle", str(ctxfile), str(anglefile), "--out", str(out)]) == 1
     assert read(out)["member"] is False
+
+
+def _local_ring_context_with_cache(u):
+    """F3[x]/(x^2), n=4, unit u, with T_M cached for the simple module M and
+    for two presentations of the regular module (the second reuses the first)."""
+    A = dual_numbers(F3)
+    scalar = tuple(F3.mul(F3.of_int(u), a) for a in A.unit)
+    ctx = build_context(A, 4, "local-ring", unit=scalar)
+    M, _ = z1(r_u_complex(A, A.unit, 4))
+    reg = A.regular_module()
+    P = nio.mat_from_json(F3, [[1, 1], [0, 1]])
+    conj = Module(A, 2, [P.inverse() @ a @ P for a in reg.action])
+    for N in (M, reg, conj):
+        ctx.resolve(N)
+    return A, ctx
+
+
+def test_context_file_cache_is_replayed():
+    _, ctx = _local_ring_context_with_cache(1)
+    text = nio.dumps(nio.context_to_json(ctx))
+    loaded = nio.context_from_json(json.loads(text))
+    assert nio.dumps(nio.context_to_json(loaded)) == text
+    assert loaded._iso_buckets == ctx._iso_buckets
+
+
+def test_context_file_with_foreign_resolution_is_refused(tmp_path):
+    # the unit-1 file carries the unit-2 context's T_M = R(2) for the simple
+    # module: trusted, it would flip membership of R(1) and R(2)
+    A, ctx1 = _local_ring_context_with_cache(1)
+    _, ctx2 = _local_ring_context_with_cache(2)
+    data = nio.context_to_json(ctx1)
+    data["cache"][0] = nio.context_to_json(ctx2)["cache"][0]
+    with pytest.raises(nio.FormatError):
+        nio.context_from_json(data)
+    ctxfile = tmp_path / "ctx.json"
+    nio.save_json_file(ctxfile, data)
+    anglefile = tmp_path / "angle.json"
+    nio.save_json_file(anglefile, nio.complex_to_json(r_u_complex(A, A.unit, 4)))
+    assert main(["check-angle", str(ctxfile), str(anglefile)]) == 2
+    # a rho that is not the fixed isomorphism onto Z_1 is refused too
+    data = nio.context_to_json(ctx1)
+    data["cache"][0]["rho"] = [[2]]
+    with pytest.raises(nio.FormatError):
+        nio.context_from_json(data)
 
 
 def test_cli_rotate_round_trip(tmp_path):

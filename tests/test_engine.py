@@ -285,6 +285,29 @@ def test_membership_forced_odd_rotation_negative_control():
     assert not ctx.check_membership(rot).verdict
 
 
+@pytest.mark.parametrize("n, force, rotate", [(4, False, False), (3, True, True)])
+def test_negative_membership_certificate_is_a_left_null_vector(n, force, rotate):
+    # R(2) in Theta_1 over F3[x]/(x^2), n=4, and rotate_left(R(1)) in the
+    # forced n=3 class: the certificate must kill the anchored system's
+    # matrix and not its right-hand side
+    A = dual_numbers(F3)
+    ctx = build_context(A, n, "local-ring", unit=A.unit, force=force)
+    X = rotate_left(r_u_complex(A, A.unit, n)) if rotate else r_u_complex(A, unit(A, 2), n)
+    cert = ctx.check_membership(X)
+    assert not cert.verdict
+    assert cert.cert is not None
+    M, inclX = z1(X)
+    T, rho = ctx.resolve(M)
+    _, inclT = z1(T)
+    if cert.comparison is None:
+        prob = ctx._anchored_problem(X, inclX, T, inclT, rho.mat)
+    else:
+        prob = ctx._anchored_problem(T, inclT, X, inclX, rho.mat.inverse())
+    Amat, Bmat = prob.matrix()
+    assert (cert.cert @ Amat).is_zero()
+    assert not (cert.cert @ Bmat).is_zero()
+
+
 def test_membership_closed_under_sum_and_iso():
     A = dual_numbers(F2)
     ctx = build_context(A, 3, "quasi-periodic")
