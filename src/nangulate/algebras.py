@@ -385,9 +385,8 @@ class LinearProblem:
     were added, the rows follow the equations and their entries row-major.
     """
 
-    def __init__(self, field, want_cert=True):
+    def __init__(self, field):
         self.field = field
-        self.want_cert = want_cert
         self.unknowns = []  # (name, basis tuple, (m, n))
         self.index = {}
         self.equations = []  # (terms, rhs)
@@ -482,14 +481,14 @@ class LinearProblem:
             out[name] = acc
         return out
 
-    def solve(self):
+    def solve(self, want_cert=True):
         """Returns (assignment dict, None) or (None, certificate row).
 
         The solution has every free coordinate at 0, so it depends only on
         the column order and the row space of [A | B].
         """
         A, B = self.matrix()
-        Xsol, cert = solve_right(A, B, want_cert=self.want_cert)
+        Xsol, cert = solve_right(A, B, want_cert=want_cert)
         if Xsol is None:
             return None, cert
         return self.assignment([r[0] for r in Xsol.rows]), None
@@ -500,10 +499,10 @@ def solve_in_hom(M: Module, N: Module, L, R, rhs: Mat):
 
     L or R may be None (no factor on that side).
     """
-    prob = LinearProblem(M.algebra.field, want_cert=False)
+    prob = LinearProblem(M.algebra.field)
     prob.add_unknown("u", hom_basis(M, N), (M.dim, N.dim))
     prob.add_equation([("u", L, R, +1)], rhs)
-    sol, _ = prob.solve()
+    sol, _ = prob.solve(want_cert=False)
     return None if sol is None else sol["u"]
 
 

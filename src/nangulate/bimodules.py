@@ -232,24 +232,20 @@ def _generator_candidates(field, dim, degree):
             yield tuple(field.of_int(c) for c in coords)
 
 
-def detect_twist(env: Enveloping, X: Module, all_twists=False):
+def detect_twist(env: Enveloping, X: Module):
     """Find sigma with X isomorphic to 1_A_sigma, or None.
 
     Searches candidate generators g in a deterministic order; g works when
     a |-> a*g is bijective, sigma is then read off from g*a = sigma(a)*g and
     validated, and the resulting bimodule map is verified on both actions.
-    With all_twists=True, returns the list of all twists found (distinct
-    sigma matrices) instead of the first.
     """
     A = env.base
     F = A.field
     d = A.dim
     if X.dim != d:
-        return [] if all_twists else None
+        return None
     left_mats = [env.left_action_mat(X, A.basis_vector(i)) for i in range(d)]
     right_mats = [env.right_action_mat(X, A.basis_vector(j)) for j in range(d)]
-    found = []
-    seen = set()
     for g in _generator_candidates(F, d, d):
         if all(c == F.zero for c in g):
             continue
@@ -273,13 +269,8 @@ def detect_twist(env: Enveloping, X: Module, all_twists=False):
             iso = ModuleMap(twisted, X, Phi)
         except AlgebraError:
             continue
-        result = TwistResult(sigma, g, iso)
-        if not all_twists:
-            return result
-        if S not in seen:
-            seen.add(S)
-            found.append(result)
-    return found if all_twists else None
+        return TwistResult(sigma, g, iso)
+    return None
 
 
 # -- twist functor ----------------------------------------------------------------

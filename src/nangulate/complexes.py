@@ -444,7 +444,7 @@ def is_homotopy_equivalence(phi: ChainMap):
     # psi phi - id_Y is the boundary of hy
     for i in range(X.n):
         prob.add_equation([(f"c{i}", None, phi.parts[i].mat, +1)] + hy(i, -1), Mat.identity(F, Y.objects[i].dim))
-    sol, _ = prob.solve()
+    sol, _ = prob.solve(want_cert=False)
     if sol is None:
         return None
     return chain_map_from(sol, Y, X), _homotopy_from(sol, X, X, "hx"), _homotopy_from(sol, Y, Y, "hy")
@@ -515,6 +515,30 @@ def coboundary_chain_map(X: PeriodicComplex, Y: PeriodicComplex, t_parts) -> Cha
     return ChainMap(X, Y, parts, check=False)
 
 
+def kappa_homotopy(X: PeriodicComplex, inclX: ModuleMap, Y: PeriodicComplex, inclY: ModuleMap, kappa: Mat):
+    """Homotopy parts (0, .., 0, alpha beta) whose coboundary realises kappa.
+
+    kappa: I_M -> N is a map from the injective envelope of M = Z_1 X to
+    N = Z_1 Y.  alpha extends the envelope mono along inclX, beta lifts
+    Sigma kappa along the corestriction pi of Y's wrap map onto Sigma N (the
+    suspended envelope is projective); the coboundary's slot-0 part then
+    restricts on M to mono kappa.
+    """
+    n = X.n
+    I_M, mono = injective_envelope(inclX.source)
+    alpha = solve_in_hom(X.objects[0], I_M, inclX.mat, None, mono.mat)
+    if alpha is None:
+        raise ComplexError("injectivity extension unexpectedly failed")
+    pi = solve_pi(Y, inclY)
+    beta = solve_in_hom(X.susp.apply_module(I_M), Y.objects[n - 1], None, pi, kappa)
+    if beta is None:
+        raise ComplexError("projectivity lift unexpectedly failed")
+    parts = [ModuleMap.zero(*homotopy_slot_types(X, Y, i)) for i in range(n)]
+    src, tgt = homotopy_slot_types(X, Y, n - 1)
+    parts[n - 1] = ModuleMap(src, tgt, alpha @ beta, check=False)
+    return parts
+
+
 def reduce_stably_zero(phi: ChainMap):
     """Push a chain map with stably-zero kernel part into the shape (0,..,0,*).
 
@@ -522,8 +546,6 @@ def reduce_stably_zero(phi: ChainMap):
     on Z_1 to factor through a projective; raises ComplexError otherwise.
     """
     X, Y = phi.source, phi.target
-    susp = X.susp
-    F = susp.algebra.field
     n = X.n
     h = z1_of_chain(phi)
     kappa = stable_zero_witness(h)
@@ -531,29 +553,12 @@ def reduce_stably_zero(phi: ChainMap):
         raise ComplexError("kernel-level map is not stably zero")
     M, inclX = z1(X)
     N, inclY = z1(Y)
-    zero_t = [ModuleMap.zero(*homotopy_slot_types(X, Y, i)) for i in range(n)]
     if M.dim > 0:
-        I_M, mono = injective_envelope(M)
-        # alpha~: extend the envelope mono along the kernel inclusion
-        alpha = solve_in_hom(X.objects[0], I_M, inclX.mat, None, mono.mat)
-        if alpha is None:
-            raise ComplexError("injectivity extension unexpectedly failed")
-        # pi: corestriction of the wrap map of Y onto Sigma N
-        pi = solve_pi(Y, inclY)
-        # beta~: lift Sigma kappa along pi (the suspended envelope is projective)
-        beta = solve_in_hom(susp.apply_module(I_M), Y.objects[n - 1], None, pi, kappa.mat)
-        if beta is None:
-            raise ComplexError("projectivity lift unexpectedly failed")
-        t_mat = alpha @ beta
-        src, tgt = homotopy_slot_types(X, Y, n - 1)
-        t_parts = list(zero_t)
-        t_parts[n - 1] = ModuleMap(src, tgt, t_mat, check=False)
-        delta = coboundary_chain_map(X, Y, t_parts)
-        cur = phi - delta
-        used = t_parts
+        used = kappa_homotopy(X, inclX, Y, inclY, kappa.mat)
+        cur = phi - coboundary_chain_map(X, Y, used)
     else:
         cur = phi
-        used = list(zero_t)
+        used = [ModuleMap.zero(*homotopy_slot_types(X, Y, i)) for i in range(n)]
     # clear slots 0..n-2 with successive coboundaries
     for i in range(n - 1):
         ci = cur.parts[i]

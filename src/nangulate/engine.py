@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 
-from .linalg import ENUMERATION_LIMIT, Mat, PrimeField, solve_right, solve_xa_b, row_space_basis
+from .linalg import ENUMERATION_LIMIT, Mat, PrimeField, solve_right, solve_xa_b
 from .algebras import (
     Algebra,
     AlgebraError,
@@ -26,7 +26,6 @@ from .algebras import (
     hom_basis,
     kernel,
     solve_in_hom,
-    submodule_from_rows,
 )
 from .structure import (
     UnsupportedRegime,
@@ -36,6 +35,9 @@ from .structure import (
     is_semisimple,
     primitive_idempotents,
     projective_indecomposables,
+    radical_module,
+    socle_module,
+    split_through_image,
     stable_equal,
     top_module,
 )
@@ -59,9 +61,9 @@ from .complexes import (
     conjugate_complex,
     direct_sum_complexes,
     disk_complex,
-    homotopy_slot_types,
     is_exact,
     is_homotopy_equivalence,
+    kappa_homotopy,
     solve_pi,
     z1,
     z1_of_chain,
@@ -153,8 +155,6 @@ def module_iso_search(M: Module, N: Module):
 def _module_invariant_key(M: Module):
     """Cheap isomorphism-invariant key used to bucket the resolution cache."""
     ranks = tuple(sorted(a.rank() for a in M.action))
-    from .structure import radical_module, socle_module
-
     rad, _ = radical_module(M)
     soc, _ = socle_module(M)
     return (M.dim, ranks, rad.dim, soc.dim)
@@ -235,26 +235,30 @@ class AngulationContext:
 
     def resolve(self, M: Module):
         """Deterministic cached (T_M, rho: M -> Z_1 T_M isomorphism)."""
+        T, rho = self._resolve_base(M)
+        return self._untwist_first(T), rho
+
+    def _resolve_base(self, M: Module):
+        """(T_M, rho) of the base class, cached and shared with twisted().
+
+        A module isomorphic to one already resolved reuses that resolution
+        through a verified isomorphism.
+        """
         if M in self._resolve_cache:
-            T, rho = self._resolve_cache[M]
-        else:
-            key = _module_invariant_key(M)
-            hit = None
-            for other in self._iso_buckets.get(key, ()):  # verified iso-class reuse
-                iso = module_iso_search(M, other)
-                if iso is not None:
-                    T0, rho0 = self._resolve_cache[other]
-                    hit = (T0, iso.then(rho0))
-                    break
-            if hit is None:
-                T0, rho0 = self._build_resolution(M)
-                self._iso_buckets.setdefault(key, []).append(M)
-                hit = (T0, rho0)
-            self._resolve_cache[M] = hit
-            T, rho = hit
-        if self.pretwist is not None:
-            T = self._untwist_first(T)
-        return T, rho
+            return self._resolve_cache[M]
+        key = _module_invariant_key(M)
+        hit = None
+        for other in self._iso_buckets.get(key, ()):
+            iso = module_iso_search(M, other)
+            if iso is not None:
+                T0, rho0 = self._resolve_cache[other]
+                hit = (T0, iso.then(rho0))
+                break
+        if hit is None:
+            hit = self._build_resolution(M)
+            self._iso_buckets.setdefault(key, []).append(M)
+        self._resolve_cache[M] = hit
+        return hit
 
     def _build_resolution(self, M: Module):
         if M.dim == 0:
@@ -392,10 +396,10 @@ class AngulationContext:
         except (ComplexError, EngineError, AlgebraError) as exc:
             return MembershipCertificate(False, f"no fixed resolution for the kernel: {exc}")
         _, inclT = z1(T)
-        phi, _, cert = self._anchored_chain_map(X, inclX, T, inclT, rho.mat)
+        phi, cert = self._anchored_chain_map(X, inclX, T, inclT, rho.mat)
         if phi is None:
             return MembershipCertificate(False, "no stably-anchored comparison map", cert=cert)
-        psi, _, cert2 = self._anchored_chain_map(T, inclT, X, inclX, rho.mat.inverse())
+        psi, cert2 = self._anchored_chain_map(T, inclT, X, inclX, rho.mat.inverse())
         if psi is None:
             return MembershipCertificate(
                 False, "no stably-anchored reverse comparison", comparison=phi, cert=cert2
@@ -403,14 +407,6 @@ class AngulationContext:
         return MembershipCertificate(
             True, "homotopy equivalent to the fixed resolution", phi, psi
         )
-
-    def _resolve_base(self, M: Module):
-        saved = self.pretwist
-        try:
-            self.pretwist = None
-            return self.resolve(M)
-        finally:
-            self.pretwist = saved
 
     def _anchored_problem(self, X, inclX, Y, inclY, anchor_mat):
         """The system of chain maps X -> Y whose kernel-level part is stably anchor_mat.
@@ -433,14 +429,11 @@ class AngulationContext:
         return prob
 
     def _anchored_chain_map(self, X, inclX, Y, inclY, anchor_mat):
-        """(phi, kappa, None) for a solution of _anchored_problem, or (None, None, cert).
-
-        kappa is None when M = 0.
-        """
+        """(phi, None) for a solution of _anchored_problem, or (None, cert)."""
         sol, cert = self._anchored_problem(X, inclX, Y, inclY, anchor_mat).solve()
         if sol is None:
-            return None, None, cert
-        return chain_map_from(sol, X, Y), sol.get("kappa"), None
+            return None, cert
+        return chain_map_from(sol, X, Y), None
 
     # -- lifting ---------------------------------------------------------------
 
@@ -456,25 +449,18 @@ class AngulationContext:
         return out
 
     def _lift_base(self, h, X, Y):
-        n = self.n
         M, inclX = z1(X)
         N, inclY = z1(Y)
         if h.source != M or h.target != N:
             raise EngineError("kernel-level map has wrong endpoints")
-        phi, kappa_mat, _ = self._anchored_chain_map(X, inclX, Y, inclY, h.mat)
-        if phi is None:
+        sol, _ = self._anchored_problem(X, inclX, Y, inclY, h.mat).solve(want_cert=False)
+        if sol is None:
             raise EngineError("no stably-anchored lift exists (inputs not members?)")
-        if M.dim == 0 or kappa_mat.is_zero():
+        phi = chain_map_from(sol, X, Y)
+        if M.dim == 0 or sol["kappa"].is_zero():
             return phi
         # subtract a null-homotopic correction realizing the kappa slack
-        I_M, mono = injective_envelope(M)
-        alpha = _solve_hom_equation(X.objects[0], I_M, inclX.mat, None, mono.mat)
-        pi = solve_pi(Y, inclY)
-        beta = _solve_hom_equation(self.susp.apply_module(I_M), Y.objects[n - 1], None, pi, kappa_mat)
-        src, tgt = homotopy_slot_types(X, Y, n - 1)
-        t_parts = [ModuleMap.zero(*homotopy_slot_types(X, Y, i)) for i in range(n)]
-        t_parts[n - 1] = ModuleMap(src, tgt, alpha @ beta, check=False)
-        delta = coboundary_chain_map(X, Y, t_parts)
+        delta = coboundary_chain_map(X, Y, kappa_homotopy(X, inclX, Y, inclY, sol["kappa"]))
         out = phi - delta
         got = z1_of_chain(out)
         if got.mat != h.mat:
@@ -510,24 +496,20 @@ class AngulationContext:
             K, inclK = kernel(cur)
             if K.dim == 0:
                 break
-            split = _find_projective_summand(K)
+            split = _projective_summand(K)
             if split is None:
                 break
-            P_i, phi_into_K, psi_from_K = split
-            emb = phi_into_K.then(inclK)  # P_i -> source of cur
-            # extend psi over the kernel inclusion (targets are injective)
-            psi_ext = _solve_hom_equation(cur.source, P_i, inclK.mat, None, psi_from_K.mat)
-            # idempotent on the source projecting onto the split summand
-            eps = psi_ext @ emb.mat
-            V, inclV, _ = _image_of_idempotent(cur.source, eps)
-            W, inclW = _kernel_of_idempotent(cur.source, eps)
-            disks.append((V, inclV.then(incl_stack)))
+            P, phi = split
+            emb = phi.then(inclK)  # split mono P -> source of cur (P is injective)
+            retraction = _solve_hom_equation(cur.source, P, emb.mat, None, Mat.identity(F, P.dim))
+            W, inclW = kernel(ModuleMap(cur.source, P, retraction, check=False))
+            disks.append((P, emb.then(incl_stack)))
             incl_stack = inclW.then(incl_stack)
             cur = ModuleMap(W, f.target, inclW.mat @ cur.mat, check=False)
         core = self._forward_closure(cur)
         pieces = [core]
-        for V, _ in disks:
-            pieces.append(disk_complex(susp, susp.apply_module(V), n, n - 1))
+        for P, _ in disks:
+            pieces.append(disk_complex(susp, susp.apply_module(P), n, n - 1))
         total = pieces[0]
         for p in pieces[1:]:
             total = direct_sum_complexes(total, p)
@@ -579,16 +561,9 @@ class AngulationContext:
 
     def _transport_end_iso(self, objects, chain_maps, Mend, proj_end, L, inclL, T, rhoL):
         """theta: M_end -> Sigma L via the comparison with the fixed resolution."""
-        F = self.algebra.field
         n = self.n
         KT, inclT = z1(T)
-        # stepwise acyclic comparison lifting rhoL
-        c = _solve_hom_equation(objects[0], T.objects[0], inclL.mat, None, rhoL.mat @ inclT.mat)
-        cs = [c]
-        for i in range(n - 1):
-            rhs = cs[-1] @ T.maps[i].mat
-            c_next = _solve_hom_equation(objects[i + 1], T.objects[i + 1], chain_maps[i].mat, None, rhs)
-            cs.append(c_next)
+        cs = _comparison_lift(objects, chain_maps, T.objects, T.maps, inclL.mat, rhoL.mat @ inclT.mat)
         piT = solve_pi(T, inclT)
         # gamma with proj_end @ gamma = c_{n-1} @ piT
         gamma, cert = solve_right(proj_end.mat, cs[n - 1] @ piT)
@@ -607,8 +582,7 @@ class AngulationContext:
         if X.maps[0].mat @ phi1.mat != phi0.mat @ Y.maps[0].mat:
             raise EngineError("first square does not commute")
         fixed = {0: phi0, 1: phi1}
-        prob = chain_map_problem(X, Y, fixed)
-        sol, _ = prob.solve()
+        sol, _ = chain_map_problem(X, Y, fixed).solve(want_cert=False)
         if sol is None:
             return None
         out = chain_map_from(sol, X, Y, fixed)
@@ -704,11 +678,7 @@ class AngulationContext:
             end = std["end"]
             SigM = self.susp.apply_module(M)
             return ModuleMap(SigM, end, Mat(self.algebra.field, [], ncols=end.dim), check=False)
-        c = _solve_hom_equation(X.objects[0], std["objects"][0], inclX.mat, None, std["monos"][0].mat)
-        cs = [c]
-        for i in range(n - 1):
-            rhs = cs[-1] @ std["maps"][i].mat
-            cs.append(_solve_hom_equation(X.objects[i + 1], std["objects"][i + 1], X.maps[i].mat, None, rhs))
+        cs = _comparison_lift(X.objects, X.maps, std["objects"], std["maps"], inclX.mat, std["monos"][0].mat)
         piX = solve_pi(X, inclX)
         beta_mat, cert = solve_right(piX, cs[n - 1] @ std["projs"][n - 1].mat)
         if beta_mat is None:
@@ -738,57 +708,40 @@ def _solve_hom_equation(domain: Module, codomain: Module, L, R, rhs: Mat) -> Mat
     return out
 
 
-def _find_projective_summand(K: Module):
-    """(P_i, phi: P_i -> K, psi: K -> P_i with phi psi = id) or None."""
+def _comparison_lift(src_objects, src_maps, tgt_objects, tgt_maps, incl, anchor):
+    """The stepwise comparison c_0..c_{n-1} from an exact source row to a target row.
+
+    c_0 solves incl c_0 = anchor, then f_i c_{i+1} = c_i g_i slot by slot;
+    the targets are injective, so each step extends along a mono.
+    """
+    cs = [_solve_hom_equation(src_objects[0], tgt_objects[0], incl, None, anchor)]
+    for i in range(len(src_objects) - 1):
+        rhs = cs[-1] @ tgt_maps[i].mat
+        cs.append(_solve_hom_equation(src_objects[i + 1], tgt_objects[i + 1], src_maps[i].mat, None, rhs))
+    return cs
+
+
+def _projective_summand(K: Module):
+    """(P, phi: P -> K split mono) for the first P = eA that splits off K, or None.
+
+    Over a selfinjective algebra eA is injective with a simple, essential
+    socle, so a |-> k a (k in Ke) is a split mono exactly when k s != 0 for
+    a nonzero s in soc(eA).  Since s = e s, such a k exists exactly when
+    K s != 0: a nonzero row r of K.act(s) is b_r s for the basis vector b_r
+    of K, and k = b_r e gives the map a |-> b_r a on eA.
+    """
     A = K.algebra
     F = A.field
-    for e, P, _, _, _ in projective_indecomposables(A):
-        if P.dim > K.dim:
-            continue
-        basis = hom_basis(P, K)
-        if not basis:
-            continue
-        k = len(basis)
-        if isinstance(F, PrimeField) and F.p**k <= ENUMERATION_LIMIT:
-            coeff_iter = itertools.product(range(F.p), repeat=k)
-        else:
-            coeff_iter = _small_combos(k)
-        for coeffs in coeff_iter:
-            mat = Mat.zeros(F, P.dim, K.dim)
-            for c, b in zip(coeffs, basis):
-                if c:
-                    mat = mat + b.mat.scale(F.of_int(c))
-            if mat.is_zero():
-                continue
-            phi = ModuleMap(P, K, mat, check=False)
-            psi_mat = solve_in_hom(K, P, mat, None, Mat.identity(F, P.dim))
-            if psi_mat is not None:
-                return P, phi, ModuleMap(K, P, psi_mat, check=False)
+    for _, P, incl, _, _ in projective_indecomposables(A):
+        _, soc_incl = socle_module(P)
+        s = (soc_incl.mat @ incl.mat).rows[0]
+        for r, row in enumerate(K.act(s).rows):
+            if any(c != F.zero for c in row):
+                # row i of times_b is b_r times the i-th basis vector of A;
+                # the rows of incl are the basis of P inside A
+                times_b = Mat(F, [am.rows[r] for am in K.action], K.dim)
+                return P, ModuleMap(P, K, incl.mat @ times_b, check=False)
     return None
-
-
-def _small_combos(k):
-    for i in range(k):
-        v = [0] * k
-        v[i] = 1
-        yield tuple(v)
-    for i in range(k):
-        for j in range(i + 1, k):
-            v = [0] * k
-            v[i] = v[j] = 1
-            yield tuple(v)
-
-
-def _image_of_idempotent(M: Module, eps: Mat):
-    V, incl = submodule_from_rows(M, row_space_basis(eps), closed=True)
-    onto = solve_xa_b(incl.mat, eps)
-    return V, incl, ModuleMap(M, V, onto, check=False)
-
-
-def _kernel_of_idempotent(M: Module, eps: Mat):
-    one = Mat.identity(M.algebra.field, M.dim)
-    W, incl = submodule_from_rows(M, row_space_basis(one - eps), closed=True)
-    return W, incl
 
 
 def r_u_complex(A: Algebra, u, n: int, susp: Suspension | None = None) -> PeriodicComplex:
@@ -862,19 +815,15 @@ def complete_semisimple(susp: Suspension, n: int, f: ModuleMap) -> PeriodicCompl
     which is exactly the failure the semisimple-only class exhibits on
     non-semisimple algebras.
     """
-    from .algebras import image
-
     F = f.source.algebra.field
-    W, incl, onto = image(f)
-    section = solve_in_hom(W, f.source, None, onto.mat, Mat.identity(F, W.dim))
-    retraction = solve_in_hom(f.target, W, incl.mat, None, Mat.identity(F, W.dim))
-    if section is None or retraction is None:
+    split = split_through_image(f)
+    if split is None:
         raise EngineError("map does not split (no contractible completion)")
+    _, incl, _, retraction = split
     K, inclK = kernel(f)
-    eta = retraction @ incl.mat  # idempotent on the target with image W
-    one = Mat.identity(F, f.target.dim)
-    C, inclC = submodule_from_rows(f.target, row_space_basis(one - eta), closed=True)
-    projC = solve_xa_b(inclC.mat, one - eta)
+    C, inclC = kernel(retraction)
+    # the complement projection 1 - eta, eta the idempotent on the target with image W
+    projC = solve_xa_b(inclC.mat, Mat.identity(F, f.target.dim) - retraction.mat @ incl.mat)
     SigK = susp.apply_module(K)
     SigSource = susp.apply_module(f.source)
     zero = Module.zero(f.source.algebra)

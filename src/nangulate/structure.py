@@ -717,23 +717,31 @@ def stable_equal(f: ModuleMap, g: ModuleMap) -> bool:
 # -- semisimple split factorization ----------------------------------------------
 
 
-def split_factorization(f: ModuleMap):
-    """f = onto . incl through the image, with explicit section and retraction.
+def split_through_image(f: ModuleMap):
+    """(onto, incl, section, retraction) through the image of f, or None.
 
-    Only valid over semisimple algebras, where every submodule is a summand.
-    Returns (onto, incl, section, retraction) with
-    onto.then(incl) == f, section.then(onto) == id_W, incl.then(retraction) == id_W.
+    onto.then(incl) == f, section.then(onto) == id_W and
+    incl.then(retraction) == id_W; None when f does not split that way.
     """
-    A = f.source.algebra
-    if not is_semisimple(A):
-        raise UnsupportedRegime("split factorization requires a semisimple algebra")
     from .algebras import image
 
     W, incl, onto = image(f)
-    Iw = Mat.identity(A.field, W.dim)
+    Iw = Mat.identity(f.source.algebra.field, W.dim)
     section = solve_in_hom(W, f.source, None, onto.mat, Iw)
     retraction = solve_in_hom(f.target, W, incl.mat, None, Iw)
     if section is None or retraction is None:
-        raise AlgebraError("semisimple splitting failed")
+        return None
     return onto, incl, ModuleMap(W, f.source, section, check=False), ModuleMap(f.target, W, retraction, check=False)
 
+
+def split_factorization(f: ModuleMap):
+    """split_through_image(f), only over semisimple algebras.
+
+    There every submodule is a summand, so the split always exists.
+    """
+    if not is_semisimple(f.source.algebra):
+        raise UnsupportedRegime("split factorization requires a semisimple algebra")
+    split = split_through_image(f)
+    if split is None:
+        raise AlgebraError("semisimple splitting failed")
+    return split
