@@ -111,7 +111,11 @@ class Algebra:
         key = "opposite"
         if key not in self._cache:
             mult_op = [[self.mult[j][i] for j in range(self.dim)] for i in range(self.dim)]
-            self._cache[key] = Algebra(self.field, mult_op, self.unit, self.labels, check=False)
+            op = Algebra(self.field, mult_op, self.unit, self.labels, check=False)
+            # (A^op)^op is A itself, so modules dualized twice (injective
+            # envelopes) live over this object and share its caches
+            op._cache[key] = self
+            self._cache[key] = op
         return self._cache[key]
 
     def regular_module(self) -> "Module":

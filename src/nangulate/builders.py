@@ -66,6 +66,28 @@ def path_algebra_a2(field) -> Algebra:
     return Algebra(F, mult, unit, labels=["e1", "e2", "a"])
 
 
+def nakayama_two_cycle(field) -> Algebra:
+    """Selfinjective Nakayama algebra of the 2-cycle with rad^2 = 0.
+
+    Basis e1, e2, a, b with e1 a e2 = a, e2 b e1 = b and ab = ba = 0.  Its
+    bimodule syzygy at n = 3 is twisted by the automorphism swapping the
+    idempotents, so it is quasi-periodic but not periodic.
+    """
+    F = field if not isinstance(field, str) else field_by_name(field)
+    z, o = F.zero, F.one
+    # indices: 0 = e1, 1 = e2, 2 = a, 3 = b
+    table = {
+        (0, 0): [o, z, z, z],
+        (1, 1): [z, o, z, z],
+        (0, 2): [z, z, o, z],
+        (2, 1): [z, z, o, z],
+        (1, 3): [z, z, z, o],
+        (3, 0): [z, z, z, o],
+    }
+    mult = [[list(table.get((i, j), [z, z, z, z])) for j in range(4)] for i in range(4)]
+    return Algebra(F, mult, [o, o, z, z], labels=["e1", "e2", "a", "b"])
+
+
 def matrix_algebra_2x2(field) -> Algebra:
     """M_2(k) by matrix units e11, e12, e21, e22 (semisimple, nonsplit traces)."""
     F = field if not isinstance(field, str) else field_by_name(field)

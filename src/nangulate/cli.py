@@ -5,7 +5,7 @@ Subcommands mirror the engine operations; every command emits a JSON report
 a short text rendering derived from it.
 
 Exit codes: 0 pass, 1 axiom/membership failure, 2 input error,
-3 unsupported regime, 4 resource limit.
+3 unsupported regime, 4 resource limit, 5 internal error.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .structure import (
 )
 from .bimodules import ResourceBudgetExceeded, bimodule_syzygy, detect_twist
 from .builders import dual_numbers
-from .complexes import is_exact, mapping_cone, rotate_left, rotate_right
+from .complexes import ComplexError, is_exact, mapping_cone, rotate_left, rotate_right
 from .engine import EngineError, RefusedContext, build_context, r_u_complex
 from .verify import local_ring_existence, unit_equivalence_table, verify_axioms
 from . import io as nio
@@ -34,6 +34,7 @@ EXIT_FAIL = 1
 EXIT_INPUT = 2
 EXIT_UNSUPPORTED = 3
 EXIT_RESOURCE = 4
+EXIT_INTERNAL = 5
 
 
 def _emit(report, out_path=None):
@@ -323,6 +324,11 @@ def main(argv=None):
     except (EngineError, AlgebraError) as exc:
         print(f"failure: {exc}", file=sys.stderr)
         return EXIT_FAIL
+    except ComplexError as exc:
+        # io turns malformed input into FormatError, so a ComplexError that
+        # gets here is a broken invariant, not a verdict on the input
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

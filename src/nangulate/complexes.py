@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from functools import lru_cache
 
 from .linalg import ENUMERATION_LIMIT, Mat, PrimeField, null_right, solve_xa_b
 from .algebras import (
@@ -39,11 +38,6 @@ _ISO_RANDOM_ATTEMPTS = 200
 
 class ComplexError(ValueError):
     pass
-
-
-@lru_cache(maxsize=None)
-def _projective_cached(M: Module) -> bool:
-    return is_projective(M)
 
 
 class Suspension:
@@ -103,7 +97,7 @@ class PeriodicComplex:
         if last.target != self.susp.apply_module(self.objects[0]):
             raise ComplexError("last map must land in the suspension of the first slot")
         for i, X in enumerate(self.objects):
-            if not _projective_cached(X):
+            if not is_projective(X):
                 raise ComplexError(f"slot {i} is not projective")
 
     def dims(self):

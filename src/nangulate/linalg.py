@@ -250,18 +250,26 @@ class Mat:
         F = self.field
         if not self.nrows or not other.ncols or not self.ncols:
             return Mat.zeros(F, self.nrows, other.ncols)
-        cols = list(zip(*other.rows))
         if isinstance(F, PrimeField):
             p = F.p
+            cols = list(zip(*other.rows))
             out = [
                 [sum([a * b for a, b in zip(r, c)]) % p for c in cols]
                 for r in self.rows
             ]
         else:
-            out = [
-                [sum([a * b for a, b in zip(r, c)], F.zero) for c in cols]
-                for r in self.rows
-            ]
+            # Fraction arithmetic is slow, so touch only nonzero products:
+            # row i of the result is the sum of a * (row k of other) over the
+            # nonzero entries a = self[i][k], each over that row's nonzeros
+            support = [[(j, b) for j, b in enumerate(r) if b] for r in other.rows]
+            out = []
+            for r in self.rows:
+                acc = [F.zero] * other.ncols
+                for a, nz in zip(r, support):
+                    if a:
+                        for j, b in nz:
+                            acc[j] += a * b
+                out.append(acc)
         return Mat(F, out, other.ncols)
 
     def transpose(self):

@@ -11,13 +11,19 @@ at runtime: it must be a two-sided nilpotent ideal (which pins it below the
 radical, while the chain and the tensor formula never cut below it), so an
 incorrect answer cannot escape silently.
 
+Primitive idempotents split the semisimple quotient by factoring minimal
+polynomials of its elements: over F_p in-house (square-free decomposition,
+then Berlekamp), over Q through sympy, imported only there.
+
 Injective envelopes are computed in the selfinjective regime only, by
-dualizing projective covers over the opposite algebra.
+dualizing projective covers over the opposite algebra.  The per-module
+results (radical, socle, top, cover, envelope, projectivity) are memoized on
+the module's algebra object, never across equal but distinct algebras.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import wraps
 
 from .linalg import ENUMERATION_LIMIT, Mat, PrimeField, left_null_basis, row_space_basis, solve_xa_b
 from .algebras import (
@@ -44,6 +50,25 @@ class IdempotentLiftingIncomplete(UnsupportedRegime):
     def __init__(self, message, partial):
         super().__init__(message)
         self.partial = partial
+
+
+def _module_memo(fn):
+    """Cache fn(M) in M.algebra._cache, keyed by the module.
+
+    The memo lives on the algebra object, so a module equal to one over
+    another (equal but distinct) algebra never receives that algebra's
+    results, and the entries go when the algebra does.
+    """
+    key = ("module_memo", fn.__name__)
+
+    @wraps(fn)
+    def memoized(M: Module):
+        memo = M.algebra._cache.setdefault(key, {})
+        if M not in memo:
+            memo[M] = fn(M)
+        return memo[M]
+
+    return memoized
 
 
 # -- radical -------------------------------------------------------------------
@@ -175,7 +200,7 @@ def is_semisimple(A: Algebra) -> bool:
 # -- radical / socle / top of modules -----------------------------------------
 
 
-@lru_cache(maxsize=None)
+@_module_memo
 def radical_module(M: Module):
     """(rad M, inclusion); rad M = M * rad(A)."""
     A = M.algebra
@@ -190,7 +215,7 @@ def radical_module(M: Module):
     return submodule_from_rows(M, stacked, closed=False)
 
 
-@lru_cache(maxsize=None)
+@_module_memo
 def socle_module(M: Module):
     """(soc M, inclusion); soc M = {m : m * rad(A) = 0}."""
     A = M.algebra
@@ -208,7 +233,7 @@ def socle_module(M: Module):
     return submodule_from_rows(M, rows, closed=True)
 
 
-@lru_cache(maxsize=None)
+@_module_memo
 def top_module(M: Module):
     """(top M, projection) where top M = M / rad M."""
     _, incl = radical_module(M)
@@ -219,26 +244,111 @@ def top_module(M: Module):
 
 
 def _factor_poly(field, coeffs):
-    """Distinct monic irreducible factors via sympy, low-first coefficients."""
-    import sympy
+    """Distinct monic irreducible factors with multiplicities, low-first.
 
-    x = sympy.Symbol("x")
+    Returns [(factor coefficients, multiplicity), ...] sorted by degree, then
+    by the coefficients' text.  Over F_p the factorization is computed here,
+    deterministically: a square-free decomposition (which handles f' = 0,
+    i.e. f = g(x^p)), then Berlekamp's algorithm on each square-free part.
+    Over Q it goes through sympy, imported lazily, since Berlekamp needs a
+    finite field.  The import is rarely paid: a local algebra over Q (such
+    as Q[x]/(x^3)) has a one-dimensional semisimple quotient, which is never
+    factored, so only a Q-algebra whose semisimple quotient has dimension
+    >= 2 reaches it.
+    """
     if isinstance(field, PrimeField):
-        dom = sympy.GF(field.p, symmetric=False)
+        out = [
+            (tuple(fac), mult)
+            for part, mult in _squarefree_parts(field, _poly_monic(field, coeffs))
+            for fac in _berlekamp(field, part)
+        ]
     else:
-        dom = sympy.QQ
-    poly = sympy.Poly(list(reversed([sympy.Integer(int(c)) if isinstance(field, PrimeField) else sympy.Rational(c) for c in coeffs])), x, domain=dom)
-    _, factors = poly.factor_list()
-    out = []
-    for fac, mult in factors:
-        cs = [field.parse(str(c)) if not isinstance(field, PrimeField) else field.of_int(int(c)) for c in reversed(fac.all_coeffs())]
-        lead = cs[-1]
-        if lead != field.one:
-            inv = field.inv(lead)
-            cs = [field.mul(inv, c) for c in cs]
-        out.append((tuple(cs), mult))
+        import sympy
+
+        x = sympy.Symbol("x")
+        poly = sympy.Poly([sympy.Rational(c) for c in reversed(coeffs)], x, domain=sympy.QQ)
+        out = []
+        for fac, mult in poly.factor_list()[1]:
+            cs = [field.parse(str(c)) for c in reversed(fac.all_coeffs())]
+            out.append((tuple(_poly_monic(field, cs)), mult))
     out.sort(key=lambda t: (len(t[0]), tuple(str(c) for c in t[0])))
     return out
+
+
+def _poly_monic(field, a):
+    """a with trailing zeros dropped, scaled to leading coefficient one."""
+    a = list(a)
+    while len(a) > 1 and a[-1] == field.zero:
+        a.pop()
+    if a[-1] == field.zero or a[-1] == field.one:
+        return a
+    inv = field.inv(a[-1])
+    return [field.mul(inv, c) for c in a]
+
+
+def _squarefree_parts(field, f):
+    """[(g, m), ...]: f = prod g^m over F_p, the g square-free, monic and coprime.
+
+    Yun's decomposition on the separable part; what is left is a p-th power,
+    whose root (a polynomial in x^p read as one in x, since a^p = a on F_p)
+    is decomposed in turn with multiplicities scaled by p.
+    """
+    p = field.p
+    if len(f) == 1:
+        return []
+    df = _poly_monic(field, [field.mul(i % p, c) for i, c in enumerate(f)][1:])
+    if df == [field.zero]:
+        return [(g, m * p) for g, m in _squarefree_parts(field, f[::p])]
+    out = []
+    c = _poly_gcdex(field, f, df)[0]
+    w = _poly_divmod(field, f, c)[0]
+    i = 1
+    while len(w) > 1:
+        y = _poly_gcdex(field, w, c)[0]
+        fac = _poly_divmod(field, w, y)[0]
+        if len(fac) > 1:
+            out.append((fac, i))
+        w = y
+        c = _poly_divmod(field, c, y)[0]
+        i += 1
+    if len(c) > 1:
+        out.extend((g, m * p) for g, m in _squarefree_parts(field, c[::p]))
+    return out
+
+
+def _berlekamp(field, f):
+    """Monic irreducible factors of a monic square-free f over F_p.
+
+    The polynomials v of degree < deg f with v^p = v mod f form the null
+    space of Q - I, where row i of Q holds x^(ip) mod f.  Its dimension is
+    the number of irreducible factors, and gcd(u, v - s) over s in F_p splits
+    any reducible factor u for some basis vector v.
+    """
+    F = field
+    d = len(f) - 1
+    if d <= 1:
+        return [f]
+    xp = _poly_divmod(F, [F.zero] * F.p + [F.one], f)[1]
+    rows, cur = [], [F.one]
+    for _ in range(d):
+        rows.append(cur + [F.zero] * (d - len(cur)))
+        cur = _poly_divmod(F, _poly_mul(F, cur, xp), f)[1]
+    null = left_null_basis(Mat(F, rows, d) - Mat.identity(F, d))
+    factors = [f]
+    for v in null.rows:
+        if len(factors) == null.nrows:
+            break
+        split = []
+        for u in factors:
+            for s in F.elements():
+                if len(u) == 1:
+                    break
+                g = _poly_gcdex(F, u, _poly_sub(F, v, [s]))[0]
+                if len(g) > 1:
+                    split.append(g)
+                    u = _poly_divmod(F, u, g)[0]
+        factors = split
+    return factors
 
 
 def _poly_mul(field, a, b):
@@ -557,7 +667,7 @@ class Cover:
         self.projs = projs
 
 
-@lru_cache(maxsize=None)
+@_module_memo
 def projective_cover(M: Module) -> Cover:
     """Minimal projective cover, built from the top of M."""
     A = M.algebra
@@ -626,6 +736,7 @@ def _vstack(mats):
     return out
 
 
+@_module_memo
 def is_projective(M: Module) -> bool:
     if M.dim == 0:
         return True
@@ -664,7 +775,7 @@ def is_selfinjective(A: Algebra) -> bool:
     return result
 
 
-@lru_cache(maxsize=None)
+@_module_memo
 def injective_envelope(M: Module):
     """(I, mono: M -> I) in the selfinjective regime; refuses otherwise."""
     A = M.algebra

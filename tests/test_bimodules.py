@@ -19,6 +19,7 @@ from nangulate.bimodules import (
 )
 from nangulate.builders import (
     dual_numbers,
+    nakayama_two_cycle,
     product_of_fields,
     scaling_automorphism,
     simple_over_dual_numbers,
@@ -314,24 +315,6 @@ def test_kron_row_vector_identity():
 
 
 # -- radical of A^e from the radical of A ---------------------------------------
-
-
-def nakayama_two_cycle(F):
-    """Basis e1, e2, a, b with e1 a e2 = a, e2 b e1 = b and ab = ba = 0."""
-
-    def unit_vector(i):
-        return [1 if k == i else 0 for k in range(4)]
-
-    table = {
-        (0, 0): unit_vector(0),
-        (1, 1): unit_vector(1),
-        (0, 2): unit_vector(2),
-        (2, 1): unit_vector(2),
-        (1, 3): unit_vector(3),
-        (3, 0): unit_vector(3),
-    }
-    mult = [[table.get((i, j), [0, 0, 0, 0]) for j in range(4)] for i in range(4)]
-    return Algebra(F, mult, [1, 1, 0, 0], ["e1", "e2", "a", "b"])
 
 
 def f9_over_f3():

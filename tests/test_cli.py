@@ -253,3 +253,16 @@ def test_cli_lift_and_cone(tmp_path):
     cone_out = tmp_path / "cone.json"
     assert main(["cone", path, str(src), str(src), str(cm), "--out", str(cone_out)]) == 0
     assert read(cone_out)["n"] == 3
+
+
+def test_internal_error_exit_code(monkeypatch, capsys):
+    # a ComplexError reaching main is a broken invariant, not a verdict
+    from nangulate import cli
+    from nangulate.complexes import ComplexError
+
+    def broken(args):
+        raise ComplexError("kappa correction is not a chain homotopy")
+
+    monkeypatch.setattr(cli, "cmd_localring", broken)
+    assert main(["localring", "--field", "3", "--n", "3"]) == cli.EXIT_INTERNAL == 5
+    assert "internal error: kappa correction" in capsys.readouterr().err

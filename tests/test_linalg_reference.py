@@ -4,8 +4,11 @@ The reference below is the straightforward Gauss-Jordan elimination: every
 cell of every touched row is rewritten, and F2 rows are packed bit by bit.
 The production kernels (support-restricted updates over odd p, C-level F2
 packing) must agree with it exactly: R, pivots, T, solve_right's X and
-certificate, and null_right.
+certificate, and null_right.  The Q product, which multiplies only nonzero
+entries, is held to the dense row-by-column sum in the same way.
 """
+
+from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
@@ -126,6 +129,14 @@ def ref_rref(A: Mat, want_transform: bool):
     return R, pivots, T
 
 
+def ref_matmul_q(A: Mat, B: Mat) -> Mat:
+    """Every row of A against every column of B, zeros included."""
+    if not A.nrows or not B.ncols or not A.ncols:
+        return Mat.zeros(A.field, A.nrows, B.ncols)
+    cols = list(zip(*B.rows))
+    return Mat(A.field, [[sum([a * b for a, b in zip(r, c)], A.field.zero) for c in cols] for r in A.rows], B.ncols)
+
+
 def ref_null_right(A: Mat) -> Mat:
     F = A.field
     R, piv, _ = ref_rref(A, want_transform=False)
@@ -204,3 +215,34 @@ def test_empty_shapes_match_dense_reference():
                 assert _rref_with_transform(A, want_transform) == ref_rref(A, want_transform)
             assert solve_right(A, B) == ref_solve_right(A, B)
             assert null_right(A) == ref_null_right(A)
+
+
+@st.composite
+def q_product(draw):
+    """A (m x k) and B (k x n) over Q, sparse or dense, any side possibly 0."""
+    m, k, n = (draw(st.integers(min_value=0, max_value=12)) for _ in range(3))
+    density = draw(st.sampled_from([0.05, 0.2, 0.5, 1.0]))
+    rng = draw(st.randoms(use_true_random=False))
+    values = [Fraction(a, b) for a in (-3, -1, 1, 2, 5) for b in (1, 2, 7)]
+
+    def mat(rows, cols):
+        return Mat(QQ, [[rng.choice(values) if rng.random() < density else QQ.zero for _ in range(cols)] for _ in range(rows)], cols)
+
+    return mat(m, k), mat(k, n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(q_product())
+def test_q_matmul_matches_dense_reference(AB):
+    A, B = AB
+    C = A @ B
+    assert C == ref_matmul_q(A, B)
+    assert all(type(c) is Fraction for r in C.rows for c in r)
+
+
+def test_q_matmul_empty_shapes():
+    for m, k, n in ((0, 0, 0), (0, 3, 2), (2, 0, 3), (2, 3, 0), (3, 2, 2)):
+        A = Mat(QQ, [[Fraction(1, 2)] * k for _ in range(m)], k)
+        B = Mat(QQ, [[Fraction(-3)] * n for _ in range(k)], n)
+        assert A @ B == ref_matmul_q(A, B)
+        assert (A @ B).nrows == m and (A @ B).ncols == n

@@ -13,7 +13,6 @@ import random
 import pytest
 
 from nangulate.algebras import (
-    Algebra,
     Module,
     ModuleMap,
     direct_sum_modules,
@@ -23,33 +22,12 @@ from nangulate.algebras import (
     solve_in_hom,
     submodule_from_rows,
 )
-from nangulate.builders import f4_dual_numbers, truncated_polynomial_algebra
+from nangulate.builders import f4_dual_numbers, nakayama_two_cycle, truncated_polynomial_algebra
 from nangulate.engine import _projective_summand
-from nangulate.linalg import Mat, field_by_name
+from nangulate.linalg import Mat
 from nangulate.structure import projective_indecomposables, radical_module
 
 ORACLE_LIMIT = 4096
-
-
-def nakayama_two_cycle_f3():
-    """Basis e1, e2, a, b with e1 a e2 = a, e2 b e1 = b and ab = ba = 0."""
-    F = field_by_name("F3")
-
-    def unit_vector(i):
-        v = [0, 0, 0, 0]
-        v[i] = 1
-        return v
-
-    table = {
-        (0, 0): unit_vector(0),
-        (1, 1): unit_vector(1),
-        (0, 2): unit_vector(2),
-        (2, 1): unit_vector(2),
-        (1, 3): unit_vector(3),
-        (3, 0): unit_vector(3),
-    }
-    mult = [[table.get((i, j), [0, 0, 0, 0]) for j in range(4)] for i in range(4)]
-    return Algebra(F, mult, [1, 1, 0, 0], ["e1", "e2", "a", "b"])
 
 
 ALGEBRAS = {
@@ -57,7 +35,7 @@ ALGEBRAS = {
     "F3[x]/(x^2)": lambda: truncated_polynomial_algebra("F3", 2),
     "F2[x]/(x^3)": lambda: truncated_polynomial_algebra("F2", 3),
     "F4[x]/(x^2) over F2": f4_dual_numbers,
-    "Nakayama 2-cycle over F3": nakayama_two_cycle_f3,
+    "Nakayama 2-cycle over F3": lambda: nakayama_two_cycle("F3"),
 }
 
 

@@ -360,3 +360,27 @@ def test_subspace_is_ideal_matches_membership_test(case):
         # the two-sided ideal generated by the first row, so True cases occur
         rows = principal_ideal(A, tuple(rows.rows[0]))
     assert _subspace_is_ideal(A, rows) == ideal_by_membership(A, rows)
+
+
+# -- caches scoped to the algebra object -------------------------------------------
+
+
+def _over_algebra(result):
+    """The algebra of the module a cached structure function returned."""
+    if hasattr(result, "P"):  # a Cover
+        return result.P.algebra
+    return result[0].algebra
+
+
+@pytest.mark.parametrize("fn", [radical_module, socle_module, top_module, projective_cover, injective_envelope])
+def test_module_caches_are_scoped_to_the_algebra(fn):
+    # two equal but distinct algebras: a result computed over the first must
+    # not be handed out for the equal module over the second
+    A1 = truncated_polynomial_algebra("F3", 3)
+    A2 = truncated_polynomial_algebra("F3", 3)
+    assert A1 == A2 and A1 is not A2
+    M1, M2 = A1.regular_module(), A2.regular_module()
+    assert M1 == M2
+    assert _over_algebra(fn(M1)) is A1
+    assert _over_algebra(fn(M2)) is A2
+    assert fn(M2) is fn(M2)
