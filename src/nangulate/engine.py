@@ -3,11 +3,14 @@
 A context fixes (A, sigma, n) together with a deterministic generator
 assigning to every module M a periodic injective resolution T_M with
 Z_1(T_M) isomorphic to M.  The distinguished class consists of everything
-homotopy equivalent to some T_M; membership is decided by solving for a
-comparison map X -> T_{Z_1 X} whose kernel-level part is stably the identity
-and testing whether it is a homotopy equivalence.  Both directions are
-certified: positive answers carry the equivalence data, negative answers an
-unsolvable-system certificate or the failed comparison.
+homotopy equivalent to some T_M.  Membership of an exact X is decided from
+M = Z_1 X alone: X is a member exactly when beta_X, the map Sigma M ->
+Omega^{-n} M that X induces against the standard injective resolution of M,
+is stably equal to alpha_M, the one T_M induces.  Both directions are
+certified.  A positive answer keeps the stable witness and builds the
+comparison chain maps X -> T_M -> X only when they are asked for.  A negative
+answer solves the anchored comparison system and carries its unsolvability
+certificate.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from .structure import (
     socle_module,
     split_through_image,
     stable_equal,
+    stable_zero_witness,
     top_module,
 )
 from .bimodules import (
@@ -78,31 +82,72 @@ class RefusedContext(UnsupportedRegime):
     """The requested context provably does not exist or is unsupported."""
 
 
+_MEMBER_REASON = "homotopy equivalent to the fixed resolution"
+
+
 class MembershipCertificate:
     """Verdict plus re-verifiable evidence for a membership query.
 
-    A positive verdict carries stably-anchored comparison maps in both
-    directions; their composites differ from the identities by elements of
-    the square-zero kernel ideal of the homotopy category, so each is
-    invertible there and the comparison is a homotopy equivalence.  verify()
-    additionally solves for explicit inverse-up-to-homotopy witnesses.
+    A positive verdict decided from Z_1 keeps ``witness = (beta - alpha,
+    kappa)`` with beta - alpha = mono . kappa, mono the injective envelope of
+    Sigma M: beta_X is stably alpha_M.  The stably-anchored comparison maps
+    ``comparison``: X -> T_M and ``reverse``: T_M -> X are built on first
+    access from the stored anchors, by the same systems a negative verdict
+    solves.  Their composites differ from the identities by elements of the
+    square-zero kernel ideal of the homotopy category, so each is invertible
+    there and the comparison is a homotopy equivalence.  If a built system
+    turns out unsolvable, the decision and the systems disagree: that is an
+    internal fault, raised as ComplexError, never a verdict.
+
+    A negative verdict carries ``cert``, a left null vector of the
+    unsolvable anchored system, and ``comparison`` when only the reverse
+    direction failed.
     """
 
-    def __init__(self, verdict, reason, comparison=None, reverse=None, cert=None):
+    def __init__(self, verdict, reason, comparison=None, reverse=None, cert=None, anchors=None, witness=None):
         self.verdict = verdict
         self.reason = reason
-        self.comparison = comparison
-        self.reverse = reverse
         self.cert = cert
+        self.witness = witness
+        self._anchors = anchors  # (ctx, X, inclX, T, inclT, rho) of a decision from Z_1
+        self._maps = {"comparison": comparison, "reverse": reverse}
+
+    @property
+    def comparison(self):
+        return self._chain_map("comparison")
+
+    @property
+    def reverse(self):
+        return self._chain_map("reverse")
+
+    def _chain_map(self, which):
+        if self._maps[which] is None and self._anchors is not None:
+            ctx, X, inclX, T, inclT, rho = self._anchors
+            if which == "comparison":
+                phi, _ = ctx._anchored_chain_map(X, inclX, T, inclT, rho.mat)
+            else:
+                phi, _ = ctx._anchored_chain_map(T, inclT, X, inclX, rho.mat.inverse())
+            if phi is None:
+                raise ComplexError(f"beta_X is stably alpha_M, but the anchored {which} system is unsolvable")
+            self._maps[which] = phi
+        return self._maps[which]
 
     def verify(self) -> bool:
         """Re-check a positive certificate by direct matrix arithmetic."""
         if not self.verdict:
             return True
-        phi = self.comparison
-        phi._validate()
-        if self.reverse is not None:
-            self.reverse._validate()
+        if self.witness is not None:
+            delta, kappa = self.witness
+            _, mono = injective_envelope(delta.source)
+            if mono.mat @ kappa.mat != delta.mat:
+                return False
+        try:
+            phi = self.comparison
+            phi._validate()
+            if self.reverse is not None:
+                self.reverse._validate()
+        except ComplexError:
+            return False
         eq = is_homotopy_equivalence(phi)
         if eq is None:
             return False
@@ -386,6 +431,71 @@ class AngulationContext:
         return self._check_membership_base(X)
 
     def _check_membership_base(self, X: PeriodicComplex) -> MembershipCertificate:
+        """Membership of the pre-twisted X in the base class, decided from M = Z_1 X.
+
+        Maps compose left to right, as the matrices do.  Let X be exact with
+        projective slots over a selfinjective A, so that every slot is also
+        injective.  Write pi_X: X^{n-1} ->> Sigma M for the corestricted wrap
+        map (pi_X . Sigma inclX is the wrap of X), and let
+        0 -> M -> I^0 -> ... -> I^{n-1} --proj--> Omega^{-n} M -> 0 be the
+        standard injective resolution.  A comparison c over f: M -> M is a
+        family c_i: X^i -> I^i with inclX c_0 = f mono_0 and commuting squares
+        (_comparison_lift builds one over id_M); its end map e is given by
+        pi_X e = c_{n-1} proj.  beta_X is the end map over id_M, and alpha_M
+        is the same for T = T_M with its kernel read as M through rho.
+
+        Lemma.  The stable class of the end map depends only on the stable
+        class of f.  End maps are additive in f, so it suffices to treat a
+        comparison over a stably zero f = mono_M t.  One such comparison is
+        c_0 = r t mono_0, with r: X^0 -> I_M extending mono_M along inclX,
+        and c_i = 0 for i > 0, because mono_0 g_0 = 0.  Its end map is 0.
+        Any two comparisons over one f differ by a comparison over 0.  That
+        one is null-homotopic slot by slot, since X is exact and the I^i are
+        injective, so its end map is s proj with s: Sigma M -> I^{n-1}.  In
+        particular beta_X depends on X alone, up to maps that factor through
+        an injective.  Comparing two injective resolutions of M both ways
+        yields comparisons over id_M, so alpha_M is a stable isomorphism.
+
+        Claim.  The anchored system, a chain map phi: X -> T with
+        inclX phi_0 = (rho + mono kappa) inclT, is solvable exactly when
+        beta_X - alpha_M factors through an injective.
+
+        (=>) Write u = id_M + mono kappa rho^{-1}, which is stably id_M.  Let
+        pi_T be the corestricted wrap of T, read through rho.  The wrap square
+        of phi gives phi_{n-1} pi_T = pi_X Sigma(u).  phi followed by the
+        comparison of T is a comparison over u, and its end map is
+        Sigma(u) alpha_M, which is stably alpha_M.  By the lemma it is also
+        stably beta_X.
+
+        (<=) Take phi_0 with inclX phi_0 = rho inclT; then extend to
+        phi_1, ..., phi_{n-1} slot by slot, as the slots of T are injective.
+        Only the wrap square may fail.  d = phi_{n-1} pi_T - pi_X kills the
+        image of X^{n-2}, so d = pi_X epsilon for some endomorphism epsilon
+        of Sigma M.  phi followed by the comparison of T is a
+        comparison over id_M, with end map (1 + epsilon) alpha_M.  So
+        epsilon alpha_M = beta_X - alpha_M stably.  That is stably zero and
+        alpha_M is stably invertible, so epsilon = iota t through an
+        injective, hence projective, module I.  t lifts along the epi pi_T,
+        t = t' pi_T.  Replacing phi_{n-1} by phi_{n-1} - pi_X iota t' keeps
+        the square before it and closes the wrap square: the system is
+        solvable, even with kappa = 0.
+
+        The reverse system T -> X, anchored at rho^{-1}, gives the same
+        condition with X and T swapped.  So a non-member always fails the
+        forward system, and when both systems are solvable their composites
+        are stably the identity on Z_1, hence homotopy equivalences (see
+        MembershipCertificate).  The class consists of the complexes homotopy
+        equivalent to some T_M, built by the standard construction of Geiss,
+        Keller and Oppermann (n-angulated categories, 2013) or by the
+        local-ring family R(u) of Bergh, Jasso and Thaule (Higher
+        n-angulations from local rings, 2016).  One criterion covers both,
+        because it reads T_M only through alpha_M.
+
+        A positive verdict keeps the witness kappa of beta_X - alpha_M and
+        builds its chain maps lazily.  A negative one, or any query over a
+        non-selfinjective algebra (there the lemma's premise fails), solves
+        the anchored systems for the reason and the certificate.
+        """
         if X.susp != self.susp or X.n != self.n:
             return MembershipCertificate(False, "wrong ambient data")
         if not is_exact(X):
@@ -396,6 +506,13 @@ class AngulationContext:
         except (ComplexError, EngineError, AlgebraError) as exc:
             return MembershipCertificate(False, f"no fixed resolution for the kernel: {exc}")
         _, inclT = z1(T)
+        if is_selfinjective(self.algebra):
+            delta = self._beta_of(X, M, inclX) - self._alpha_of(M)
+            kappa = stable_zero_witness(delta)
+            if kappa is not None:
+                return MembershipCertificate(
+                    True, _MEMBER_REASON, anchors=(self, X, inclX, T, inclT, rho), witness=(delta, kappa)
+                )
         phi, cert = self._anchored_chain_map(X, inclX, T, inclT, rho.mat)
         if phi is None:
             return MembershipCertificate(False, "no stably-anchored comparison map", cert=cert)
@@ -404,9 +521,7 @@ class AngulationContext:
             return MembershipCertificate(
                 False, "no stably-anchored reverse comparison", comparison=phi, cert=cert2
             )
-        return MembershipCertificate(
-            True, "homotopy equivalent to the fixed resolution", phi, psi
-        )
+        return MembershipCertificate(True, _MEMBER_REASON, phi, psi)
 
     def _anchored_problem(self, X, inclX, Y, inclY, anchor_mat):
         """The system of chain maps X -> Y whose kernel-level part is stably anchor_mat.
@@ -680,7 +795,7 @@ class AngulationContext:
             return ModuleMap(SigM, end, Mat(self.algebra.field, [], ncols=end.dim), check=False)
         cs = _comparison_lift(X.objects, X.maps, std["objects"], std["maps"], inclX.mat, std["monos"][0].mat)
         piX = solve_pi(X, inclX)
-        beta_mat, cert = solve_right(piX, cs[n - 1] @ std["projs"][n - 1].mat)
+        beta_mat, _ = solve_right(piX, cs[n - 1] @ std["projs"][n - 1].mat, want_cert=False)
         if beta_mat is None:
             raise EngineError("beta comparison does not descend")
         SigM = self.susp.apply_module(M)

@@ -1,10 +1,12 @@
-"""Seeded verify_axioms reports and built contexts, pinned byte for byte.
+"""Seeded verify_axioms reports, built contexts and membership certificates, pinned byte for byte.
 
 Each report digest is the sha256 of io.dumps(report.to_dict()).  A change to
 the engine that keeps every verdict but alters a count, a reason or a printed
 counterexample changes the digest.  Each context digest is the sha256 of
 io.dumps(context_to_json(ctx)) for a quasi-periodic context: it pins the
-idempotents, the bimodule syzygy and its twist.
+idempotents, the bimodule syzygy and its twist.  The certificate digests are
+sha256 of the repr of matrix rows: the comparison and reverse chain maps of
+positive verdicts, the reason and left null vector of negative ones.
 """
 
 import hashlib
@@ -13,7 +15,8 @@ import pytest
 
 from nangulate import io
 from nangulate.builders import dual_numbers, nakayama_two_cycle, truncated_polynomial_algebra
-from nangulate.engine import build_context
+from nangulate.complexes import direct_sum_complexes, rotate_left
+from nangulate.engine import build_context, r_u_complex
 from nangulate.verify import verify_axioms
 
 CASES = [
@@ -50,3 +53,67 @@ def test_context_bytes(name, make, n, digest):
     ctx = build_context(make(), n, "quasi-periodic")
     text = io.dumps(io.context_to_json(ctx))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def _unit(A, c):
+    F = A.field
+    return tuple(F.mul(F.of_int(c), a) for a in A.unit)
+
+
+def _sha256(obj):
+    return hashlib.sha256(repr(obj).encode()).hexdigest()
+
+
+POSITIVE_CERT_CASES = [
+    # (u, angle, sha256 of the comparison and reverse parts) for R(u) in
+    # its own class over F3[x]/(x^2), n = 4
+    (1, "R(u)", "8d85194c9153c4d89ba66e312689816dce0c68a11b8b7d88fcce190064fd4f2b"),
+    (1, "rotated", "8d85194c9153c4d89ba66e312689816dce0c68a11b8b7d88fcce190064fd4f2b"),
+    (1, "sum", "991302b9b8eec6a4fbfc6254188de5e58eeb6be1f647088b6a5ab80c724ab62a"),
+    (2, "R(u)", "8d85194c9153c4d89ba66e312689816dce0c68a11b8b7d88fcce190064fd4f2b"),
+    (2, "rotated", "8374410ca6ffa654b37d3aba7548552232f874598d68f112d6020d9775a3875d"),
+    (2, "sum", "991302b9b8eec6a4fbfc6254188de5e58eeb6be1f647088b6a5ab80c724ab62a"),
+]
+
+
+@pytest.mark.parametrize("u, angle, digest", POSITIVE_CERT_CASES)
+def test_positive_certificate_bytes(u, angle, digest):
+    A = dual_numbers("F3")
+    ctx = build_context(A, 4, "local-ring", unit=_unit(A, u))
+    R = r_u_complex(A, _unit(A, u), 4)
+    X = {"R(u)": R, "rotated": rotate_left(R), "sum": direct_sum_complexes(R, R)}[angle]
+    cert = ctx.check_membership(X)
+    assert cert.verdict and cert.reason == "homotopy equivalent to the fixed resolution"
+    parts = [p.mat.rows for p in cert.comparison.parts] + [p.mat.rows for p in cert.reverse.parts]
+    assert _sha256(parts) == digest
+
+
+# (n, u, v, reason, cert rows, comparison is None) of every R(v) outside the
+# class of R(u) over F5[x]/(x^2), n in (3, 4), the odd period forced
+F5_NEGATIVES_SHA256 = "db023f512cd1173c100463cea12786ac0670906894d6e6b15f257b12c089e4d6"
+
+
+def test_negative_certificate_bytes():
+    A = dual_numbers("F5")
+    rows = []
+    for n in (3, 4):
+        for u in range(1, 5):
+            ctx = build_context(A, n, "local-ring", unit=_unit(A, u), force=True)
+            for v in range(1, 5):
+                if v != u:
+                    cert = ctx.check_membership(r_u_complex(A, _unit(A, v), n))
+                    assert not cert.verdict
+                    rows.append((n, u, v, cert.reason, cert.cert.rows, cert.comparison is None))
+    assert {r[3] for r in rows} == {"no stably-anchored comparison map"}
+    assert _sha256(rows) == F5_NEGATIVES_SHA256
+
+
+def test_forced_rotation_certificate_bytes():
+    # rotate_left(R(1)) is outside the forced n = 3 class over F3[x]/(x^2)
+    A = dual_numbers("F3")
+    ctx = build_context(A, 3, "local-ring", unit=A.unit, force=True)
+    cert = ctx.check_membership(rotate_left(r_u_complex(A, A.unit, 3)))
+    assert not cert.verdict
+    assert cert.reason == "no stably-anchored comparison map"
+    assert cert.comparison is None
+    assert cert.cert.rows == ((0, 2, 0, 0, 0, 2, 0, 0, 0, 2, 0, 0, 0, 1),)
