@@ -9,7 +9,7 @@ action and the right action through sigma.
 
 from __future__ import annotations
 
-from .linalg import ENUMERATION_LIMIT, Mat, PrimeField, solve_xa_b
+from .linalg import Mat, PrimeField, null_right, solve_xa_b
 from .algebras import (
     Algebra,
     AlgebraError,
@@ -19,7 +19,7 @@ from .algebras import (
     kernel,
     quotient_by_rows,
 )
-from .structure import algebra_radical, projective_cover
+from .structure import algebra_radical, primitive_idempotents, projective_cover
 
 
 class ResourceBudgetExceeded(RuntimeError):
@@ -210,66 +210,88 @@ class TwistResult:
         self.iso = iso  # 1_A_sigma -> X, verified bimodule isomorphism
 
 
-def _generator_candidates(field, dim, degree):
-    """Deterministic candidate stream covering a grid large enough to hit a
-    generator whenever the freeness determinant is not identically zero."""
-    import itertools
+def _pruned_scan(F, alphabet, d, cuts):
+    """Tuples over alphabet in lexicographic order, last coordinate fastest,
+    skipping each prefix whose completions all lie in one cut subspace.
 
-    if isinstance(field, PrimeField):
-        if field.p**dim <= ENUMERATION_LIMIT:
-            for coords in itertools.product(range(field.p), repeat=dim):
-                yield tuple(field.of_int(c) for c in coords)
+    A cut (C, t) is H = {x : x @ C = 0} with e_k in H for every k >= t.  The
+    completions of a prefix of length k span prefix + <e_k, .., e_{d-1}>,
+    which lies in H exactly when k >= t and the zero-padded prefix does.
+    """
+
+    def walk(prefix, sums):
+        # sums[i] = prefix @ C_i
+        k = len(prefix)
+        if any(k >= t and all(c == F.zero for c in s) for (_, t), s in zip(cuts, sums)):
             return
-        size = degree + 1
-        if size > field.p:
-            raise ResourceBudgetExceeded(
-                "twist detection grid does not fit in the field"
-            )
-        for coords in itertools.product(range(size), repeat=dim):
-            yield tuple(field.of_int(c) for c in coords)
-    else:
-        for coords in itertools.product(range(degree + 1), repeat=dim):
-            yield tuple(field.of_int(c) for c in coords)
+        if k == d:
+            yield tuple(prefix)
+            return
+        for v in alphabet:
+            c = F.of_int(v)
+            nxt = [
+                s if c == F.zero else [F.add(a, F.mul(c, b)) for a, b in zip(s, C.rows[k])]
+                for (C, _), s in zip(cuts, sums)
+            ]
+            yield from walk(prefix + [c], nxt)
+
+    yield from walk([], [[F.zero] * C.ncols for C, _ in cuts])
 
 
 def detect_twist(env: Enveloping, X: Module):
     """Find sigma with X isomorphic to 1_A_sigma, or None.
 
-    Searches candidate generators g in a deterministic order; g works when
-    a |-> a*g is bijective, sigma is then read off from g*a = sigma(a)*g and
-    validated, and the resulting bimodule map is verified on both actions.
+    That holds exactly when some g in X is a free left generator (Phi_g:
+    a |-> a*g is bijective) and the unital algebra map sigma_g given by
+    g*a = sigma_g(a)*g is bijective; Phi_g: 1_A_sigma -> X is then the
+    bimodule isomorphism.  Every other free generator is u*g for a unit u,
+    with sigma_{u*g} = c_u . sigma_g, so the first one found decides.
+
+    The scan walks g over range(p)^d (over Q, range(d+1)^d) in lexicographic
+    order, last coordinate fastest.  A free generator has e_i*g outside JX
+    for every primitive idempotent e_i, i.e. g outside H_i = (1 - e_i)X + JX,
+    so prefixes whose completions all lie in one H_i are cut, and X is
+    refused at once when X/JX and A/J differ in size.  The answer is thus the
+    lexicographically first free generator.  Over F_p with d < p its
+    coordinates are at most d: det Phi_g has degree d and each variable
+    degree below p, so at most d values of the next coordinate kill it.
+
+    If A/J is a product of r copies of the field and r < |alphabet|, the scan
+    never backtracks: each H_i cuts at most one value of the next coordinate,
+    and a leaf outside every H_i generates X/JX = A/J, hence X.  For a local
+    A the one leaf is e_j for the largest j with e_j outside JX.
     """
     A = env.base
     F = A.field
     d = A.dim
     if X.dim != d:
         return None
+    rad = algebra_radical(A)
+    jx_rows = [row for r in rad.rows for row in env.left_action_mat(X, r).rows]
+    if Mat(F, jx_rows, d).rank() != rad.nrows:
+        return None
+    cuts = []
+    for e in primitive_idempotents(A):
+        co = tuple(F.sub(a, b) for a, b in zip(A.unit, e))
+        C = null_right(Mat(F, list(env.left_action_mat(X, co).rows) + jx_rows, d))
+        # e_k lies in H_i exactly when row k of C is zero
+        t = next((k for k in range(d, 0, -1) if any(c != F.zero for c in C.rows[k - 1])), 0)
+        cuts.append((C, t))
+    alphabet = range(F.p) if isinstance(F, PrimeField) else range(d + 1)
     left_mats = [env.left_action_mat(X, A.basis_vector(i)) for i in range(d)]
     right_mats = [env.right_action_mat(X, A.basis_vector(j)) for j in range(d)]
-    for g in _generator_candidates(F, d, d):
-        if all(c == F.zero for c in g):
-            continue
+    for g in _pruned_scan(F, alphabet, d, cuts):
         grow = Mat(F, [list(g)], d)
-        phi_rows = [(grow @ lm).rows[0] for lm in left_mats]
-        Phi = Mat(F, phi_rows, d)
+        Phi = Mat(F, [(grow @ lm).rows[0] for lm in left_mats], d)
         if not Phi.is_invertible():
             continue
         Phi_inv = Phi.inverse()
-        srows = []
-        for j in range(d):
-            vj = (grow @ right_mats[j]).rows[0]
-            srows.append((Mat(F, [list(vj)], d) @ Phi_inv).rows[0])
-        S = Mat(F, srows, d)
+        srows = [(grow @ rm @ Phi_inv).rows[0] for rm in right_mats]
         try:
-            sigma = Automorphism(A, S)
+            sigma = Automorphism(A, Mat(F, srows, d))
         except AlgebraError:
-            continue
-        twisted = env.twisted_bimodule(sigma)
-        try:
-            iso = ModuleMap(twisted, X, Phi)
-        except AlgebraError:
-            continue
-        return TwistResult(sigma, g, iso)
+            return None
+        return TwistResult(sigma, g, ModuleMap(env.twisted_bimodule(sigma), X, Phi))
     return None
 
 

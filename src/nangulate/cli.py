@@ -5,7 +5,8 @@ Subcommands mirror the engine operations; every command emits a JSON report
 a short text rendering derived from it.
 
 Exit codes: 0 pass, 1 axiom/membership failure, 2 input error,
-3 unsupported regime, 4 resource limit, 5 internal error.
+3 unsupported regime, 4 resource limit (the bimodule syzygy budget),
+5 internal error.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import argparse
 import sys
 
 from .linalg import field_by_name
-from .algebras import AlgebraError, ModuleMap
+from .algebras import AlgebraError
 from .structure import (
     UnsupportedRegime,
     algebra_radical,
@@ -24,7 +25,7 @@ from .structure import (
 )
 from .bimodules import ResourceBudgetExceeded, bimodule_syzygy, detect_twist
 from .builders import dual_numbers
-from .complexes import ComplexError, is_exact, mapping_cone, rotate_left, rotate_right
+from .complexes import ComplexError, is_exact, mapping_cone, rotate_left, rotate_right, z1
 from .engine import EngineError, RefusedContext, build_context, r_u_complex
 from .verify import local_ring_existence, unit_equivalence_table, verify_axioms
 from . import io as nio
@@ -145,14 +146,7 @@ def cmd_cone(args):
     A = nio.algebra_from_json(nio.load_json_file(args.algebra))
     X = nio.complex_from_json(A, nio.load_json_file(args.source))
     Y = nio.complex_from_json(A, nio.load_json_file(args.target))
-    parts_data = nio.load_json_file(args.chain_map)
-    from .complexes import ChainMap
-
-    parts = []
-    for i, mdata in enumerate(parts_data):
-        mat = nio.mat_from_json(A.field, mdata, nrows=X.objects[i].dim, ncols=Y.objects[i].dim)
-        parts.append(ModuleMap(X.objects[i], Y.objects[i], mat, check=False))
-    phi = ChainMap(X, Y, parts)
+    phi = nio.chain_map_from_json(X, Y, nio.load_json_file(args.chain_map))
     C = mapping_cone(phi)
     _emit(nio.complex_to_json(C), args.out)
     return EXIT_PASS
@@ -163,12 +157,9 @@ def cmd_lift(args):
     A = ctx.algebra
     X = nio.complex_from_json(A, nio.load_json_file(args.source))
     Y = nio.complex_from_json(A, nio.load_json_file(args.target))
-    from .complexes import z1
-
     MX, _ = z1(ctx._twist_first(X))
     MY, _ = z1(ctx._twist_first(Y))
-    hmat = nio.mat_from_json(A.field, nio.load_json_file(args.kernel_map), nrows=MX.dim, ncols=MY.dim)
-    h = ModuleMap(MX, MY, hmat)
+    h = nio.module_map_from_json(MX, MY, nio.load_json_file(args.kernel_map))
     lifted = ctx.lift_morphism(h, X, Y)
     report = {
         "chain_map": nio.chain_map_to_json(lifted),
@@ -309,10 +300,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except nio.FormatError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except FileNotFoundError as exc:
+    except (nio.FormatError, FileNotFoundError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (RefusedContext, UnsupportedRegime) as exc:

@@ -14,10 +14,7 @@ a slot-by-slot back-substitution could miss solutions.
 
 from __future__ import annotations
 
-import itertools
-import random
-
-from .linalg import ENUMERATION_LIMIT, Mat, PrimeField, null_right, solve_xa_b
+from .linalg import Mat, solve_xa_b
 from .algebras import (
     Automorphism,
     LinearProblem,
@@ -30,11 +27,6 @@ from .algebras import (
 )
 from .bimodules import twist_module
 from .structure import injective_envelope, is_projective, stable_zero_witness
-
-# random coefficient vectors find_complex_isomorphism tries when the chain-map
-# space is too large to enumerate
-_ISO_RANDOM_ATTEMPTS = 200
-
 
 class ComplexError(ValueError):
     pass
@@ -485,21 +477,6 @@ def z1_of_chain(phi: ChainMap) -> ModuleMap:
     return ModuleMap(M, N, sol, check=False)
 
 
-def chain_map_solve(X: PeriodicComplex, Y: PeriodicComplex, constraints):
-    """Solve for a chain map X -> Y with extra linear constraints.
-
-    constraints is a list of (slot, L, R, rhs) demanding L @ phi_slot @ R = rhs.
-    Returns (ChainMap, None) or (None, cert).
-    """
-    prob = chain_map_problem(X, Y)
-    for slot, L, R, rhs in constraints:
-        prob.add_equation([(f"c{slot}", L, R, +1)], rhs)
-    sol, cert = prob.solve()
-    if sol is None:
-        return None, cert
-    return chain_map_from(sol, X, Y), None
-
-
 def coboundary_chain_map(X: PeriodicComplex, Y: PeriodicComplex, t_parts) -> ChainMap:
     """The chain map with components f_i t_i + t_{i-1} g_{i-1} (null-homotopic)."""
     h = Homotopy(X, Y, t_parts)
@@ -578,40 +555,3 @@ def solve_pi(Y: PeriodicComplex, inclY: ModuleMap) -> Mat:
     if pi is None:
         raise ComplexError("wrap map does not corestrict onto the suspended kernel")
     return pi
-
-
-def find_complex_isomorphism(X: PeriodicComplex, Y: PeriodicComplex):
-    """Search for a degreewise-invertible chain map X -> Y (None if not found).
-
-    Solves the chain-map space once, then scans deterministic combinations of
-    the solution space for a degreewise iso; exhaustive over tiny fields.
-    """
-    if X.dims() != Y.dims() or X.susp != Y.susp:
-        return None
-    F = X.susp.algebra.field
-    n = X.n
-    # basis of the space of chain maps: the kernel of the homogeneous system
-    prob = chain_map_problem(X, Y)
-    A, _ = prob.matrix()
-    K = null_right(A)
-    dim_sol = K.ncols
-    total = A.ncols
-    if isinstance(F, PrimeField) and F.p**dim_sol <= ENUMERATION_LIMIT:
-        candidates = itertools.product(range(F.p), repeat=dim_sol)
-    else:
-        rng = random.Random(0)
-        candidates = [
-            tuple(F.of_int(rng.randrange(max(F.p, 7))) for _ in range(dim_sol)) for _ in range(_ISO_RANDOM_ATTEMPTS)
-        ]
-    for coeffs in candidates:
-        if all(c == F.zero for c in coeffs):
-            continue
-        vec = [F.zero] * total
-        for j in range(dim_sol):
-            if coeffs[j] != F.zero:
-                for r in range(total):
-                    vec[r] = F.add(vec[r], F.mul(coeffs[j], K.rows[r][j]))
-        sol = prob.assignment(vec)
-        if all(m.nrows == m.ncols and m.is_invertible() for m in sol.values()):
-            return chain_map_from(sol, X, Y)
-    return None

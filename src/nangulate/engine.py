@@ -321,11 +321,11 @@ class AngulationContext:
 
     def _resolve_semisimple(self, M: Module):
         T = disk_complex(self.susp, self.susp.apply_module(M), self.n, self.n - 1)
-        KM, incl = z1(T)
-        rho = module_iso_search(M, KM)
-        if rho is None:
+        # the wrap disk's first map lands in zero, so Z_1 is its first slot, M itself
+        KM, _ = z1(T)
+        if KM != M:
             raise EngineError("semisimple resolution lost the module")
-        return T, rho
+        return T, ModuleMap(M, KM, Mat.identity(self.algebra.field, M.dim), check=False)
 
     def _resolve_quasi_periodic(self, M: Module):
         env: Enveloping = self.data["env"]

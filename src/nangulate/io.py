@@ -18,6 +18,20 @@ class FormatError(ValueError):
     pass
 
 
+_KINDS = {int: "an integer", str: "a string", list: "a list", dict: "a JSON object", bool: "true or false"}
+
+
+def _fields(data, what, **kinds):
+    """Refuse data that is not a JSON object whose every named key holds a value of its kind."""
+    if not isinstance(data, dict):
+        raise FormatError(f"{what} must be a JSON object")
+    for key, kind in kinds.items():
+        if key not in data:
+            raise FormatError(f"{what} is missing {key!r}")
+        if not isinstance(data[key], kind) or (isinstance(data[key], bool) and kind is int):
+            raise FormatError(f"{what}: {key!r} must be {_KINDS[kind]}, not {data[key]!r}")
+
+
 def _fmt_scalar(field, a):
     return field.fmt(a)
 
@@ -43,8 +57,11 @@ def mat_from_json(field, data, nrows=None, ncols=None):
         if ncols is None:
             ncols = 0
         return Mat(field, [], ncols=ncols)
-    if ncols is not None and len(rows[0]) != ncols:
-        raise FormatError(f"expected {ncols} columns, found {len(rows[0])}")
+    if ncols is None:
+        ncols = len(rows[0])
+    for row in rows:
+        if len(row) != ncols:
+            raise FormatError(f"expected {ncols} columns, found {len(row)}")
     return Mat(field, rows)
 
 
@@ -63,10 +80,11 @@ def algebra_to_json(A: Algebra):
 
 
 def algebra_from_json(data) -> Algebra:
-    for key in ("field", "dim", "basis", "unit", "mult"):
-        if key not in data:
-            raise FormatError(f"algebra file is missing {key!r}")
-    field = field_by_name(data["field"])
+    _fields(data, "algebra file", field=str, dim=int, basis=list, unit=list, mult=list)
+    try:
+        field = field_by_name(data["field"])
+    except ValueError as exc:
+        raise FormatError(str(exc)) from None
     d = data["dim"]
     labels = data["basis"]
     if len(labels) != d:
@@ -79,9 +97,9 @@ def algebra_from_json(data) -> Algebra:
         if not (isinstance(entry, list) and len(entry) == 3):
             raise FormatError(f"malformed mult entry {entry!r}")
         i, j, coords = entry
-        if not (0 <= i < d and 0 <= j < d):
+        if not (type(i) is type(j) is int and 0 <= i < d and 0 <= j < d):
             raise FormatError(f"mult entry ({i}, {j}) out of range")
-        if len(coords) != d:
+        if not isinstance(coords, list) or len(coords) != d:
             raise FormatError(f"mult entry ({i}, {j}) has wrong coordinate length")
         table[i][j] = [_parse_scalar(field, c) for c in coords]
     zero = [field.zero] * d
@@ -101,8 +119,7 @@ def module_to_json(M: Module):
 
 
 def module_from_json(A: Algebra, data) -> Module:
-    if "dim" not in data or "action" not in data:
-        raise FormatError("module file needs dim and action")
+    _fields(data, "module file", dim=int, action=dict)
     m = data["dim"]
     acts = []
     for i, label in enumerate(A.labels):
@@ -124,14 +141,17 @@ def map_to_json(f: ModuleMap):
 
 
 def map_from_json(A: Algebra, data) -> ModuleMap:
-    for key in ("source", "target", "matrix"):
-        if key not in data:
-            raise FormatError(f"map file is missing {key!r}")
+    _fields(data, "map file", source=dict, target=dict, matrix=list)
     src = module_from_json(A, data["source"])
     tgt = module_from_json(A, data["target"])
-    mat = mat_from_json(A.field, data["matrix"], nrows=src.dim, ncols=tgt.dim)
+    return module_map_from_json(src, tgt, data["matrix"])
+
+
+def module_map_from_json(source: Module, target: Module, data) -> ModuleMap:
+    """A bare matrix read as a module map source -> target, checked to intertwine the actions."""
+    mat = mat_from_json(source.algebra.field, data, nrows=source.dim, ncols=target.dim)
     try:
-        return ModuleMap(src, tgt, mat)
+        return ModuleMap(source, target, mat)
     except AlgebraError as exc:
         raise FormatError(str(exc)) from None
 
@@ -160,9 +180,7 @@ def complex_to_json(X: PeriodicComplex):
 
 
 def complex_from_json(A: Algebra, data) -> PeriodicComplex:
-    for key in ("n", "objects", "maps"):
-        if key not in data:
-            raise FormatError(f"angle file is missing {key!r}")
+    _fields(data, "angle file", n=int, objects=list, maps=list)
     sigma = automorphism_from_json(A, data.get("sigma", "id"))
     susp = Suspension(A, sigma)
     objects = [module_from_json(A, obj) for obj in data["objects"]]
@@ -182,6 +200,22 @@ def complex_from_json(A: Algebra, data) -> PeriodicComplex:
 
 def chain_map_to_json(phi: ChainMap):
     return [mat_to_json(p.mat) for p in phi.parts]
+
+
+def chain_map_from_json(X: PeriodicComplex, Y: PeriodicComplex, data) -> ChainMap:
+    """A list of n matrices read as a chain map X -> Y, each a module map, all squares commuting."""
+    if not isinstance(data, list) or len(data) != X.n:
+        raise FormatError(f"chain map must be a list of {X.n} matrices")
+    parts = []
+    for i, mdata in enumerate(data):
+        try:
+            parts.append(module_map_from_json(X.objects[i], Y.objects[i], mdata))
+        except FormatError as exc:
+            raise FormatError(f"chain map component {i}: {exc}") from None
+    try:
+        return ChainMap(X, Y, parts)
+    except ComplexError as exc:
+        raise FormatError(f"chain map: {exc}") from None
 
 
 def context_to_json(ctx):
@@ -211,30 +245,48 @@ def context_to_json(ctx):
     return out
 
 
-def context_from_json(data):
-    from .engine import EngineError, build_context
+def _scalars_from_json(field, data, key, dim):
+    if not isinstance(data, list) or len(data) != dim:
+        raise FormatError(f"context {key!r} must be a list of {dim} scalars")
+    return tuple(_parse_scalar(field, c) for c in data)
 
+
+def context_from_json(data):
+    from .engine import build_context
+
+    _fields(data, "context file", algebra=dict, mode=str, n=int)
+    opts = {"forced": False, "cache": [], **data}
+    _fields(opts, "context file", forced=bool, cache=list)
     A = algebra_from_json(data["algebra"])
-    unit = None
-    if "unit" in data:
-        unit = tuple(_parse_scalar(A.field, c) for c in data["unit"])
-    ctx = build_context(A, data["n"], data["mode"], unit=unit, force=data.get("forced", False))
+    unit = _scalars_from_json(A.field, data["unit"], "unit", A.dim) if "unit" in data else None
+    ctx = build_context(A, data["n"], data["mode"], unit=unit, force=opts["forced"])
     if data.get("pretwist"):
-        ctx = ctx.twisted(tuple(_parse_scalar(A.field, c) for c in data["pretwist"]))
+        ctx = ctx.twisted(_scalars_from_json(A.field, data["pretwist"], "pretwist", A.dim))
     # the cached pairs are derived data: replay each module in file order,
     # which also rebuilds the iso-class reuse, and refuse a file that differs
-    for entry in data.get("cache", ()):
-        M = module_from_json(A, entry["module"])
-        T = complex_from_json(A, entry["resolution"])
+    for i, entry in enumerate(opts["cache"]):
         try:
-            T0, rho0 = ctx._resolve_base(M)
-        except (ComplexError, EngineError, AlgebraError) as exc:
-            raise FormatError(f"cached module has no fixed resolution: {exc}") from None
-        if T != T0:
-            raise FormatError("cached resolution is not the context's fixed resolution of its module")
-        if mat_from_json(A.field, entry["rho"], nrows=M.dim, ncols=rho0.target.dim) != rho0.mat:
-            raise FormatError("cached rho is not the context's fixed isomorphism onto Z_1")
+            _replay_cache_entry(ctx, entry)
+        except FormatError as exc:
+            raise FormatError(f"context cache entry {i}: {exc}") from None
     return ctx
+
+
+def _replay_cache_entry(ctx, entry):
+    from .engine import EngineError
+
+    A = ctx.algebra
+    _fields(entry, "entry", module=dict, resolution=dict, rho=list)
+    M = module_from_json(A, entry["module"])
+    T = complex_from_json(A, entry["resolution"])
+    try:
+        T0, rho0 = ctx._resolve_base(M)
+    except (ComplexError, EngineError, AlgebraError) as exc:
+        raise FormatError(f"cached module has no fixed resolution: {exc}") from None
+    if T != T0:
+        raise FormatError("cached resolution is not the context's fixed resolution of its module")
+    if mat_from_json(A.field, entry["rho"], nrows=M.dim, ncols=rho0.target.dim) != rho0.mat:
+        raise FormatError("cached rho is not the context's fixed isomorphism onto Z_1")
 
 
 def dumps(obj) -> str:

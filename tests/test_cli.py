@@ -3,10 +3,10 @@ import json
 import pytest
 
 from nangulate import io as nio
-from nangulate.builders import dual_numbers, product_of_fields, path_algebra_a2
+from nangulate.builders import dual_numbers, path_algebra_a2, product_of_fields, truncated_polynomial_algebra
 from nangulate.cli import main
 from nangulate.algebras import Module
-from nangulate.complexes import Suspension, trivial_complex, z1
+from nangulate.complexes import Suspension, disk_complex, trivial_complex, z1
 from nangulate.engine import build_context, r_u_complex
 from nangulate.linalg import field_by_name
 
@@ -266,3 +266,69 @@ def test_internal_error_exit_code(monkeypatch, capsys):
     monkeypatch.setattr(cli, "cmd_localring", broken)
     assert main(["localring", "--field", "3", "--n", "3"]) == cli.EXIT_INTERNAL == 5
     assert "internal error: kappa correction" in capsys.readouterr().err
+
+
+def _cached_context_file(tmp_path, edit):
+    """The unit-1 F3[x]/(x^2), n=4 context file with its cache, after edit(data)."""
+    A, ctx = _local_ring_context_with_cache(1)
+    data = nio.context_to_json(ctx)
+    edit(data)
+    ctxfile = tmp_path / "ctx.json"
+    nio.save_json_file(ctxfile, data)
+    anglefile = tmp_path / "angle.json"
+    nio.save_json_file(anglefile, nio.complex_to_json(r_u_complex(A, A.unit, 4)))
+    return str(ctxfile), str(anglefile)
+
+
+@pytest.mark.parametrize(
+    "edit, named",
+    [
+        (lambda d: d.pop("n"), "missing 'n'"),
+        (lambda d: d.update(n="4"), "'n' must be an integer"),
+        (lambda d: d.update(cache=5), "'cache' must be a list"),
+        (lambda d: d.update(pretwist=[1]), "'pretwist' must be a list of 2 scalars"),
+        (lambda d: d["cache"][1]["resolution"].pop("n"), "cache entry 1: angle file is missing 'n'"),
+    ],
+    ids=["no-n", "string-n", "int-cache", "short-pretwist", "entry-without-n"],
+)
+def test_malformed_context_file_is_an_input_error(tmp_path, capsys, edit, named):
+    ctxfile, anglefile = _cached_context_file(tmp_path, edit)
+    assert main(["check-angle", ctxfile, anglefile]) == 2
+    assert named in capsys.readouterr().err
+
+
+def test_user_supplied_maps_are_input_errors(tmp_path, capsys):
+    A = dual_numbers(F2)
+    path = write_algebra(tmp_path, A)
+    ctxfile = tmp_path / "ctx.json"
+    main(["angulate", path, "--n", "3", "--mode", "quasi-periodic", "--out", str(ctxfile)])
+    src = tmp_path / "src.json"
+    nio.save_json_file(src, nio.complex_to_json(r_u_complex(A, A.unit, 3)))
+    # (1, 0, 0) on R(1): the square through the first map does not commute
+    cm = tmp_path / "cm.json"
+    nio.save_json_file(cm, [[[1, 0], [0, 1]], [[0, 0], [0, 0]], [[0, 0], [0, 0]]])
+    assert main(["cone", path, str(src), str(src), str(cm)]) == 2
+    assert "square 0 does not commute" in capsys.readouterr().err
+    # a component that is not A-linear
+    nio.save_json_file(cm, [[[1, 0], [0, 0]]] * 3)
+    assert main(["cone", path, str(src), str(src), str(cm)]) == 2
+    assert "component 0: matrix does not intertwine" in capsys.readouterr().err
+    # the wrap disk of A has Z_1 = A in the identity basis, and the idempotent
+    # matrix diag(1, 0) does not commute with the action of x
+    disk = tmp_path / "disk.json"
+    nio.save_json_file(disk, nio.complex_to_json(disk_complex(Suspension(A), A.regular_module(), 3, 2)))
+    hfile = tmp_path / "h.json"
+    nio.save_json_file(hfile, [[1, 0], [0, 0]])
+    assert main(["lift", str(ctxfile), str(disk), str(disk), str(hfile)]) == 2
+    assert "matrix does not intertwine the action of x" in capsys.readouterr().err
+
+
+def test_cli_syzygy_beyond_the_enumeration_limit(tmp_path):
+    # 5^6 candidate generators: the twist is decided, not refused
+    path = write_algebra(tmp_path, truncated_polynomial_algebra("F5", 6))
+    out = tmp_path / "s.json"
+    assert main(["syzygy", path, "--n", "4", "--out", str(out)]) == 0
+    rep = read(out)
+    assert rep["syzygy_dim"] == 6
+    assert rep["twist"]["order"] == 1
+    assert rep["twist"]["matrix"] == [[int(i == j) for j in range(6)] for i in range(6)]

@@ -10,12 +10,12 @@ from nangulate.complexes import (
     Homotopy,
     PeriodicComplex,
     Suspension,
-    chain_map_solve,
+    chain_map_from,
+    chain_map_problem,
     coboundary_chain_map,
     conjugate_complex,
     direct_sum_complexes,
     disk_complex,
-    find_complex_isomorphism,
     homotopy_between,
     homotopy_slot_types,
     is_contractible,
@@ -29,6 +29,7 @@ from nangulate.complexes import (
     z1,
     z1_of_chain,
 )
+from nangulate.engine import build_context
 from nangulate.linalg import Mat, field_by_name
 
 F2 = field_by_name("F2")
@@ -271,14 +272,16 @@ def test_z1_of_chain_functorial():
     assert h.mat == Mat.identity(F2, 1)
 
 
-def test_chain_map_solve_with_anchor():
+def test_chain_map_problem_with_anchor():
     A = dual_numbers(F2)
     R = r_u_complex(A, A.unit, 3)
     M, incl = z1(R)
     # solve for a chain map R -> R inducing the identity on Z1
-    sol, cert = chain_map_solve(R, R, [(0, incl.mat, None, incl.mat)])
+    prob = chain_map_problem(R, R)
+    prob.add_equation([("c0", incl.mat, None, +1)], incl.mat)
+    sol, cert = prob.solve()
     assert sol is not None
-    assert z1_of_chain(sol).mat == Mat.identity(F2, 1)
+    assert z1_of_chain(chain_map_from(sol, R, R)).mat == Mat.identity(F2, 1)
 
 
 def test_coboundary_is_chain_map_and_nullhomotopic():
@@ -357,13 +360,14 @@ def test_reduce_rejects_nonstably_zero():
         reduce_stably_zero(ChainMap.identity(R))
 
 
-def test_find_complex_isomorphism():
+def test_rotation_of_r1_is_isomorphic_to_r2():
     A = dual_numbers(F3)
     u = scalar_unit(A, F3.of_int(2))
-    R = r_u_complex(A, u, 3)
     L = rotate_left(r_u_complex(A, A.unit, 3))
-    # rotate_left(R(1)) is isomorphic to R(-1) = R(2)
-    iso = find_complex_isomorphism(L, R)
-    assert iso is not None
-    assert iso.is_degreewise_iso()
-    iso._validate()
+    # rotate_left(R(1)) is isomorphic to R(-1) = R(2), the fixed resolution
+    # of the simple module in the forced local-ring context of the unit 2
+    ctx = build_context(A, 3, "local-ring", unit=u, force=True)
+    cert = ctx.check_membership(L)
+    assert cert.verdict
+    assert cert.comparison.is_degreewise_iso()
+    cert.comparison._validate()

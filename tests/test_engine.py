@@ -162,12 +162,10 @@ def test_resolve_quasi_periodic_f2():
     assert T.dims() == (2, 2, 2)
     # the chain k -> A -> A -> A ->> k has all three maps of rank 1
     assert [m.rank() for m in T.maps] == [1, 1, 1]
-    # T_k is isomorphic to R(1) [frozen expectation from the worked family]
-    from nangulate.complexes import find_complex_isomorphism
-
-    R1 = r_u_complex(A, A.unit, 3)
-    iso = find_complex_isomorphism(T, R1)
-    assert iso is not None
+    # T_k is isomorphic to R(1), the fixed resolution of k in the local-ring context
+    cert = build_context(A, 3, "local-ring").check_membership(T)
+    assert cert.verdict
+    assert cert.comparison.is_degreewise_iso()
 
 
 def test_resolve_projective_is_contractible():

@@ -13,8 +13,10 @@ import random
 
 import pytest
 
+from nangulate import io
 from nangulate.algebras import ModuleMap
 from nangulate.builders import dual_numbers, nakayama_two_cycle, path_algebra_a2, truncated_polynomial_algebra
+from nangulate.cli import main
 from nangulate.complexes import (
     ComplexError,
     conjugate_complex,
@@ -186,6 +188,17 @@ def test_unsolvable_lazy_system_is_an_internal_fault(monkeypatch):
     with pytest.raises(ComplexError, match="reverse system is unsolvable"):
         cert.reverse
     assert cert.verify() is False
+
+
+def test_failed_lift_between_members_is_an_internal_fault(tmp_path, monkeypatch, capsys):
+    ctx = build_context(dual_numbers("F3"), 3, "quasi-periodic")
+    ctxfile = tmp_path / "ctx.json"
+    io.save_json_file(ctxfile, io.context_to_json(ctx))
+    monkeypatch.setattr(AngulationContext, "_anchored_problem", lambda self, *args: _Unsolvable())
+    with pytest.raises(ComplexError, match="lift between sampled members failed"):
+        verify_axioms(ctx, samples=2, seed=0)
+    assert main(["verify", str(ctxfile), "--samples", "2", "--seed", "0"]) == 5
+    assert "internal error: lift between sampled members failed" in capsys.readouterr().err
 
 
 def test_axiom_suite_builds_no_membership_chain_maps(monkeypatch):
