@@ -561,24 +561,30 @@ def quotient_by_rows(M: Module, rows: Mat):
 
     Returns (Q, proj: M -> Q).  The complement basis is the set of standard
     basis vectors at the non-pivot columns of the rref of the subspace.
+    proj is [rref rows; complement]^-1 restricted to the complement columns,
+    written down directly: the row of a pivot column is minus its rref row at
+    the free columns, the row of a free column is its unit vector.
     """
     A = M.algebra
     F = A.field
-    basis = row_space_basis(rows)
-    r = basis.nrows
-    q = M.dim - r
+    R, piv = rows.rref()
+    q = M.dim - len(piv)
     if q == 0:
         Z = Module.zero(A)
         return Z, ModuleMap(M, Z, Mat(F, [[] for _ in range(M.dim)] if M.dim else [], 0), check=False)
-    _, piv = basis.rref()
-    free = [j for j in range(M.dim) if j not in piv]
-    comp = Mat(F, [[F.one if j == c else F.zero for j in range(M.dim)] for c in free], M.dim)
-    full = basis.vstack(comp) if r else comp
-    inv = full.inverse()
-    proj = inv.submatrix(range(M.dim), range(r, M.dim))  # M -> Q coordinates
-    acts = []
-    for am in M.action:
-        acts.append(comp @ am @ proj)
+    pivot_row = dict(zip(piv, R.rows))
+    free = [j for j in range(M.dim) if j not in pivot_row]
+    unit = {f: k for k, f in enumerate(free)}
+    proj_rows = []
+    for j in range(M.dim):
+        if j in pivot_row:
+            proj_rows.append([F.neg(pivot_row[j][f]) for f in free])
+        else:
+            row = [F.zero] * q
+            row[unit[j]] = F.one
+            proj_rows.append(row)
+    proj = Mat(F, proj_rows, q)  # M -> Q coordinates
+    acts = [Mat(F, [am.rows[f] for f in free], M.dim) @ proj for am in M.action]
     Q = Module(A, q, acts, check=False)
     return Q, ModuleMap(M, Q, proj, check=False)
 

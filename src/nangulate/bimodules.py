@@ -9,7 +9,7 @@ action and the right action through sigma.
 
 from __future__ import annotations
 
-from .linalg import Mat, PrimeField, null_right, solve_xa_b
+from .linalg import Mat, PrimeField, null_right
 from .algebras import (
     Algebra,
     AlgebraError,
@@ -33,14 +33,14 @@ def kron(A: Mat, B: Mat) -> Mat:
     n = A.ncols * B.ncols
     if m == 0 or n == 0:
         return Mat(F, [[] for _ in range(m)] if m else [], n)
+    mul = F.mul
+    zero_block = [F.zero] * B.ncols
     rows = []
-    for i1 in range(A.nrows):
-        for i2 in range(B.nrows):
+    for ra in A.rows:
+        for rb in B.rows:
             row = []
-            for j1 in range(A.ncols):
-                a = A.rows[i1][j1]
-                for j2 in range(B.ncols):
-                    row.append(F.mul(a, B.rows[i2][j2]))
+            for a in ra:
+                row.extend([mul(a, b) for b in rb] if a else zero_block)
             rows.append(row)
     return Mat(F, rows, n)
 
@@ -360,8 +360,11 @@ def tensor_module_bimodule(env: Enveloping, M: Module, B: Module) -> TensorResul
     Q, proj = quotient_by_rows(pre, rels)
     if Q.dim == 0:
         return TensorResult(Q, proj.mat, Mat(F, [], ncols=pre_dim))
-    section = solve_xa_b(proj.mat, Mat.identity(F, Q.dim))
-    if section is None:
+    # the complement basis vectors: quotient_by_rows maps them to the unit vectors
+    pivots = set(rels.rref()[1])
+    free = [j for j in range(pre_dim) if j not in pivots]
+    section = Mat(F, [[F.one if j == f else F.zero for j in range(pre_dim)] for f in free], pre_dim)
+    if section @ proj.mat != Mat.identity(F, Q.dim):
         raise AlgebraError("tensor quotient section failed")
     return TensorResult(Q, proj.mat, section)
 

@@ -34,6 +34,7 @@ from .structure import (
     UnsupportedRegime,
     algebra_radical,
     injective_envelope,
+    is_projective,
     is_selfinjective,
     is_semisimple,
     primitive_idempotents,
@@ -504,7 +505,12 @@ class AngulationContext:
         try:
             T, rho = self._resolve_base(M)
         except (ComplexError, EngineError, AlgebraError) as exc:
-            return MembershipCertificate(False, f"no fixed resolution for the kernel: {exc}")
+            if self.mode == "semisimple" and not is_projective(M):
+                # the forced contractible class of a non-semisimple algebra
+                # holds wrap disks of projectives only: this is its verdict
+                return MembershipCertificate(False, f"no fixed resolution for the kernel: {exc}")
+            # every other class resolves every module: a broken invariant
+            raise ComplexError(f"no fixed resolution for the kernel: {exc}") from exc
         _, inclT = z1(T)
         if is_selfinjective(self.algebra):
             delta = self._beta_of(X, M, inclX) - self._alpha_of(M)

@@ -248,28 +248,19 @@ class Mat:
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.nrows}x{self.ncols} @ {other.nrows}x{other.ncols}")
         F = self.field
-        if not self.nrows or not other.ncols or not self.ncols:
-            return Mat.zeros(F, self.nrows, other.ncols)
-        if isinstance(F, PrimeField):
-            p = F.p
-            cols = list(zip(*other.rows))
-            out = [
-                [sum([a * b for a, b in zip(r, c)]) % p for c in cols]
-                for r in self.rows
-            ]
-        else:
-            # Fraction arithmetic is slow, so touch only nonzero products:
-            # row i of the result is the sum of a * (row k of other) over the
-            # nonzero entries a = self[i][k], each over that row's nonzeros
-            support = [[(j, b) for j, b in enumerate(r) if b] for r in other.rows]
-            out = []
-            for r in self.rows:
-                acc = [F.zero] * other.ncols
-                for a, nz in zip(r, support):
-                    if a:
-                        for j, b in nz:
-                            acc[j] += a * b
-                out.append(acc)
+        p = F.p
+        # touch only nonzero products: row i of the result is the sum of
+        # a * (row k of other) over the nonzero entries a = self[i][k], each
+        # over that row's nonzeros; over F_p the sums are reduced once at the end
+        support = [[(j, b) for j, b in enumerate(r) if b] for r in other.rows]
+        out = []
+        for r in self.rows:
+            acc = [F.zero] * other.ncols
+            for a, nz in zip(r, support):
+                if a:
+                    for j, b in nz:
+                        acc[j] += a * b
+            out.append([c % p for c in acc] if p else acc)
         return Mat(F, out, other.ncols)
 
     def transpose(self):
@@ -395,11 +386,36 @@ def _rref_f2(A: Mat, want_transform: bool):
     """Bit-packed row reduction over F_2: rows are ints, elimination is XOR.
 
     Produces entry-identical output to the generic path (same pivot choices,
-    same normalization), just faster.
+    same normalization), just faster.  Without a transform each row is
+    reduced into a dict {lowest set bit: row} and the pivot columns are then
+    cleared from the other pivot rows; the RREF of a row space is unique, so
+    R and the pivots are those of the column-by-column elimination, which
+    still builds T when one is asked for.
     """
     m, n = A.nrows, A.ncols
     packed = _pack_f2(A.rows, n)
-    t = [1 << i for i in range(m)] if want_transform else None
+    F = A.field
+    if not want_transform:
+        lead = {}
+        for v in packed:
+            while v:
+                c = (v & -v).bit_length() - 1
+                if c not in lead:
+                    lead[c] = v
+                    break
+                v ^= lead[c]
+        pivots = sorted(lead)
+        # each pivot row has bits only at and above its pivot, so clearing
+        # from the highest pivot down leaves every pivot column clean
+        for k in range(len(pivots) - 1, 0, -1):
+            bit = 1 << pivots[k]
+            row = lead[pivots[k]]
+            for c in pivots[:k]:
+                if lead[c] & bit:
+                    lead[c] ^= row
+        R = Mat(F, _unpack_f2([lead[c] for c in pivots] + [0] * (m - len(pivots)), n), n)
+        return R, pivots, None
+    t = [1 << i for i in range(m)]
     pivots = []
     r = 0
     for c in range(n):
@@ -408,23 +424,17 @@ def _rref_f2(A: Mat, want_transform: bool):
         if pr is None:
             continue
         packed[r], packed[pr] = packed[pr], packed[r]
-        if t is not None:
-            t[r], t[pr] = t[pr], t[r]
-        lead = packed[r]
-        tl = t[r] if t is not None else 0
+        t[r], t[pr] = t[pr], t[r]
+        lead, tl = packed[r], t[r]
         for i in range(m):
             if i != r and packed[i] & bit:
                 packed[i] ^= lead
-                if t is not None:
-                    t[i] ^= tl
+                t[i] ^= tl
         pivots.append(c)
         r += 1
         if r == m:
             break
-    F = A.field
-    R = Mat(F, _unpack_f2(packed, n), n)
-    T = Mat(F, _unpack_f2(t, m), m) if t is not None else None
-    return R, pivots, T
+    return Mat(F, _unpack_f2(packed, n), n), pivots, Mat(F, _unpack_f2(t, m), m)
 
 
 def _rref_mod_p(A: Mat, want_transform: bool):

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -13,8 +14,10 @@ from nangulate.algebras import (
     hom_basis,
     image,
     kernel,
+    quotient_by_rows,
     submodule_from_rows,
 )
+from nangulate.bimodules import bimodule_syzygy, kron, tensor_map_bimodule_side, tensor_module_bimodule
 from nangulate.builders import (
     dual_numbers,
     field_extension_f4,
@@ -26,7 +29,7 @@ from nangulate.builders import (
     simple_over_dual_numbers,
     truncated_polynomial_algebra,
 )
-from nangulate.linalg import Mat, QQ, field_by_name
+from nangulate.linalg import Mat, QQ, field_by_name, row_space_basis, solve_xa_b
 
 F2 = field_by_name("F2")
 F3 = field_by_name("F3")
@@ -161,3 +164,56 @@ def test_submodule_closure():
     rows = Mat.from_int_rows(F2, [[1, 0, 0]])
     S, incl = submodule_from_rows(reg, rows)
     assert S.dim == 2
+
+
+def inverse_quotient(M, rows):
+    """Oracle: the complement selection comp and proj = [basis; comp]^-1 at the comp columns."""
+    F = M.algebra.field
+    basis = row_space_basis(rows)
+    r = basis.nrows
+    _, piv = basis.rref()
+    free = [j for j in range(M.dim) if j not in piv]
+    comp = Mat(F, [[F.one if j == c else F.zero for j in range(M.dim)] for c in free], M.dim)
+    full = basis.vstack(comp) if r else comp
+    return comp, full.inverse().submatrix(range(M.dim), range(r, M.dim))
+
+
+def test_quotient_projection_matches_inverse_oracle():
+    rng = random.Random(11)
+    for F in (F2, F3, QQ):
+        A = truncated_polynomial_algebra(F, 3)
+        M, _, _ = direct_sum_modules([A.regular_module(), A.regular_module()])
+        # r = 0 (nothing to divide by) and q = 0 (everything), then random submodules
+        cases = [Mat(F, [], ncols=M.dim), Mat.identity(F, M.dim)]
+        for _ in range(6):
+            rows = Mat(F, [[F.of_int(rng.randrange(-2, 3)) for _ in range(M.dim)] for _ in range(rng.randint(1, 2))], M.dim)
+            cases.append(submodule_from_rows(M, rows)[1].mat)
+        for rows in cases:
+            Q, proj = quotient_by_rows(M, rows)
+            if Q.dim == 0:
+                assert (proj.mat.nrows, proj.mat.ncols) == (M.dim, 0)
+                continue
+            comp, ref = inverse_quotient(M, rows)
+            assert proj.mat == ref
+            assert list(Q.action) == [comp @ am @ ref for am in M.action]
+            Q._validate()
+
+
+def test_tensor_section_selects_the_complement():
+    # section @ proj = I, and the induced maps are those of the section the
+    # general solve picks, since a map induced on the quotient ignores the choice
+    for F in (F2, F3, QQ):
+        A = truncated_polynomial_algebra(F, 3)
+        chain = bimodule_syzygy(A, 2)
+        env = chain.env
+        reg = A.regular_module()
+        simple, _ = quotient_by_rows(reg, Mat(F, [A.basis_vector(1), A.basis_vector(2)], 3))
+        g = chain.boundary_maps()[1]
+        for M in (reg, simple):
+            src = tensor_module_bimodule(env, M, g.source)
+            tgt = tensor_module_bimodule(env, M, g.target)
+            for tens in (src, tgt):
+                assert tens.section @ tens.proj == Mat.identity(F, tens.module.dim)
+            solved = solve_xa_b(src.proj, Mat.identity(F, src.module.dim))
+            induced = tensor_map_bimodule_side(env, M, g, src, tgt).mat
+            assert induced == solved @ kron(Mat.identity(F, M.dim), g.mat) @ tgt.proj

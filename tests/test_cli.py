@@ -268,6 +268,32 @@ def test_internal_error_exit_code(monkeypatch, capsys):
     assert "internal error: kappa correction" in capsys.readouterr().err
 
 
+def test_failed_fixed_resolution_is_an_internal_error(tmp_path, monkeypatch, capsys):
+    # every module has a fixed resolution in a quasi-periodic context, so a
+    # failure to build one is a broken invariant, not a non-member verdict
+    from nangulate.complexes import ComplexError
+    from nangulate.engine import AngulationContext, EngineError
+
+    A = dual_numbers(F2)
+    path = write_algebra(tmp_path, A)
+    ctxfile = tmp_path / "ctx.json"
+    assert main(["angulate", path, "--n", "3", "--mode", "quasi-periodic", "--out", str(ctxfile)]) == 0
+    anglefile = tmp_path / "angle.json"
+    R = r_u_complex(A, A.unit, 3)
+    nio.save_json_file(anglefile, nio.complex_to_json(R))
+
+    def broken(self, M):
+        raise EngineError("tensor resolution is not exact")
+
+    monkeypatch.setattr(AngulationContext, "_build_resolution", broken)
+    ctx = build_context(A, 3, "quasi-periodic")
+    with pytest.raises(ComplexError, match="tensor resolution is not exact"):
+        ctx.check_membership(R)
+    capsys.readouterr()
+    assert main(["check-angle", str(ctxfile), str(anglefile)]) == 5
+    assert "internal error: no fixed resolution for the kernel" in capsys.readouterr().err
+
+
 def _cached_context_file(tmp_path, edit):
     """The unit-1 F3[x]/(x^2), n=4 context file with its cache, after edit(data)."""
     A, ctx = _local_ring_context_with_cache(1)

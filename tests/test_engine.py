@@ -142,6 +142,17 @@ def test_semisimple_gate():
     assert forced.forced
 
 
+def test_forced_semisimple_class_refuses_a_non_projective_kernel():
+    # the forced contractible class holds wrap disks of projectives only, so
+    # an exact complex whose kernel is not projective is a non-member there
+    A = dual_numbers(F2)
+    T, _ = build_context(A, 3, "quasi-periodic").resolve(simple_over_dual_numbers(A))
+    forced = build_context(A, 3, "semisimple", force=True)
+    cert = forced.check_membership(T)
+    assert not cert.verdict
+    assert cert.reason == "no fixed resolution for the kernel: slot 0 is not projective"
+
+
 # -- resolutions ----------------------------------------------------------------
 
 

@@ -3,15 +3,17 @@
 The reference below is the straightforward Gauss-Jordan elimination: every
 cell of every touched row is rewritten, and F2 rows are packed bit by bit.
 The production kernels (support-restricted updates over odd p, C-level F2
-packing) must agree with it exactly: R, pivots, T, solve_right's X and
-certificate, and null_right.  The Q product, which multiplies only nonzero
-entries, is held to the dense row-by-column sum in the same way.
+packing, F2 rref by pivot-keyed insertion) must agree with it exactly: R,
+pivots, T, solve_right's X and certificate, and null_right.  The product,
+which multiplies only nonzero entries, is held to the dense row-by-column
+sum in the same way, and kron to its definition.
 """
 
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
+from nangulate.bimodules import kron
 from nangulate.linalg import (
     QQ,
     Mat,
@@ -129,12 +131,15 @@ def ref_rref(A: Mat, want_transform: bool):
     return R, pivots, T
 
 
-def ref_matmul_q(A: Mat, B: Mat) -> Mat:
-    """Every row of A against every column of B, zeros included."""
+def ref_matmul(A: Mat, B: Mat) -> Mat:
+    """Every row of A against every column of B, zeros included; over F_p each sum is reduced mod p."""
+    F = A.field
     if not A.nrows or not B.ncols or not A.ncols:
-        return Mat.zeros(A.field, A.nrows, B.ncols)
+        return Mat.zeros(F, A.nrows, B.ncols)
     cols = list(zip(*B.rows))
-    return Mat(A.field, [[sum([a * b for a, b in zip(r, c)], A.field.zero) for c in cols] for r in A.rows], B.ncols)
+    if F.p:
+        return Mat(F, [[sum([a * b for a, b in zip(r, c)]) % F.p for c in cols] for r in A.rows], B.ncols)
+    return Mat(F, [[sum([a * b for a, b in zip(r, c)], F.zero) for c in cols] for r in A.rows], B.ncols)
 
 
 def ref_null_right(A: Mat) -> Mat:
@@ -170,6 +175,17 @@ def ref_solve_right(A: Mat, B: Mat):
 FIELDS = [field_by_name("F2"), field_by_name("F3"), field_by_name("F97"), QQ]
 
 
+def _values(F):
+    if F.p:
+        return range(1, F.p)
+    return [Fraction(a, b) for a in (-3, -1, 1, 2, 5) for b in (1, 2, 7)]
+
+
+def _random_mat(F, rng, density, rows, cols):
+    values = _values(F)
+    return Mat(F, [[rng.choice(values) if rng.random() < density else F.zero for _ in range(cols)] for _ in range(rows)], cols)
+
+
 @st.composite
 def system(draw):
     """A field, A (m x n) and B (m x k); sparse (<= 5% nonzero) or dense."""
@@ -179,10 +195,7 @@ def system(draw):
     k = draw(st.integers(min_value=0, max_value=3))
     density = draw(st.sampled_from([0.02, 0.05, 0.5, 1.0]))
     rng = draw(st.randoms(use_true_random=False))
-    if F.p:
-        values = range(1, F.p)
-    else:
-        values = [F.of_int(a) / b for a in (-3, -1, 1, 2, 5) for b in (1, 2, 7)]
+    values = _values(F)
 
     def entry():
         return rng.choice(values) if rng.random() < density else F.zero
@@ -218,31 +231,74 @@ def test_empty_shapes_match_dense_reference():
 
 
 @st.composite
-def q_product(draw):
-    """A (m x k) and B (k x n) over Q, sparse or dense, any side possibly 0."""
-    m, k, n = (draw(st.integers(min_value=0, max_value=12)) for _ in range(3))
-    density = draw(st.sampled_from([0.05, 0.2, 0.5, 1.0]))
+def product(draw):
+    """A field, A (m x k) and B (k x n) at 2%, 5% or dense fill, any side possibly 0."""
+    F = draw(st.sampled_from(FIELDS))
+    m, k, n = (draw(st.integers(min_value=0, max_value=16)) for _ in range(3))
+    density = draw(st.sampled_from([0.02, 0.05, 0.5, 1.0]))
     rng = draw(st.randoms(use_true_random=False))
-    values = [Fraction(a, b) for a in (-3, -1, 1, 2, 5) for b in (1, 2, 7)]
-
-    def mat(rows, cols):
-        return Mat(QQ, [[rng.choice(values) if rng.random() < density else QQ.zero for _ in range(cols)] for _ in range(rows)], cols)
-
-    return mat(m, k), mat(k, n)
+    return _random_mat(F, rng, density, m, k), _random_mat(F, rng, density, k, n)
 
 
 @settings(max_examples=200, deadline=None)
-@given(q_product())
-def test_q_matmul_matches_dense_reference(AB):
+@given(product())
+def test_matmul_matches_dense_reference(AB):
     A, B = AB
     C = A @ B
-    assert C == ref_matmul_q(A, B)
-    assert all(type(c) is Fraction for r in C.rows for c in r)
+    assert C == ref_matmul(A, B)
+    assert C.nrows == A.nrows and C.ncols == B.ncols
+    assert all(type(c) is (Fraction if A.field is QQ else int) for r in C.rows for c in r)
 
 
-def test_q_matmul_empty_shapes():
-    for m, k, n in ((0, 0, 0), (0, 3, 2), (2, 0, 3), (2, 3, 0), (3, 2, 2)):
-        A = Mat(QQ, [[Fraction(1, 2)] * k for _ in range(m)], k)
-        B = Mat(QQ, [[Fraction(-3)] * n for _ in range(k)], n)
-        assert A @ B == ref_matmul_q(A, B)
-        assert (A @ B).nrows == m and (A @ B).ncols == n
+def test_matmul_empty_shapes():
+    for F in FIELDS:
+        for m, k, n in ((0, 0, 0), (0, 3, 2), (2, 0, 3), (2, 3, 0), (3, 2, 2)):
+            A = Mat(F, [[F.one] * k for _ in range(m)], k)
+            B = Mat(F, [[F.neg(F.one)] * n for _ in range(k)], n)
+            assert A @ B == ref_matmul(A, B)
+
+
+@st.composite
+def kron_pair(draw):
+    """A field and two matrices of any shapes up to 5 x 5, zeros included."""
+    F = draw(st.sampled_from(FIELDS))
+    density = draw(st.sampled_from([0.05, 0.5, 1.0]))
+    rng = draw(st.randoms(use_true_random=False))
+    m, k, n, l = (draw(st.integers(min_value=0, max_value=5)) for _ in range(4))
+    return _random_mat(F, rng, density, m, k), _random_mat(F, rng, density, n, l)
+
+
+@settings(max_examples=100, deadline=None)
+@given(kron_pair())
+def test_kron_matches_definition(AB):
+    A, B = AB
+    F = A.field
+    K = kron(A, B)
+    assert (K.nrows, K.ncols) == (A.nrows * B.nrows, A.ncols * B.ncols)
+    for i1, ra in enumerate(A.rows):
+        for i2, rb in enumerate(B.rows):
+            for j1, a in enumerate(ra):
+                for j2, b in enumerate(rb):
+                    assert K.rows[i1 * B.nrows + i2][j1 * B.ncols + j2] == F.mul(a, b)
+
+
+@st.composite
+def f2_matrix(draw):
+    m = draw(st.integers(min_value=0, max_value=32))
+    n = draw(st.integers(min_value=0, max_value=32))
+    density = draw(st.sampled_from([0.02, 0.05, 0.2, 0.5, 1.0]))
+    rng = draw(st.randoms(use_true_random=False))
+    rows = [[int(rng.random() < density) for _ in range(n)] for _ in range(m)]
+    if draw(st.booleans()) and m >= 4:
+        # a repeated row and a sum of two rows, which must reduce to zero
+        rows[-1] = list(rows[0])
+        rows[-2] = [a ^ b for a, b in zip(rows[0], rows[1])]
+    return Mat(field_by_name("F2"), rows, n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(f2_matrix())
+def test_f2_rref_by_insertion_matches_elimination(A):
+    R, piv = A.rref()
+    assert (R, piv) == _rref_with_transform(A, True)[:2]
+    assert (R, piv) == ref_rref_f2(A, want_transform=False)[:2]
