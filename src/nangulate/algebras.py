@@ -198,7 +198,7 @@ class Automorphism:
 class Module:
     """Finite-dimensional right module: one action matrix per basis element."""
 
-    __slots__ = ("algebra", "dim", "action", "_hash")
+    __slots__ = ("algebra", "dim", "action", "_hash", "__weakref__")
 
     def __init__(self, algebra: Algebra, dim: int, action, check=True):
         self.algebra = algebra
@@ -245,6 +245,8 @@ class Module:
         return Module(algebra, 0, [empty] * algebra.dim, check=False)
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (
             isinstance(other, Module)
             and self.algebra == other.algebra
@@ -264,7 +266,7 @@ class Module:
 class ModuleMap:
     """A linear map intertwining the right actions."""
 
-    __slots__ = ("source", "target", "mat")
+    __slots__ = ("source", "target", "mat", "__weakref__")
 
     def __init__(self, source: Module, target: Module, mat: Mat, check=True):
         self.source = source

@@ -38,10 +38,19 @@ class Suspension:
     def __init__(self, algebra, sigma: Automorphism | None = None):
         self.algebra = algebra
         self.sigma = sigma if sigma is not None else Automorphism.identity(algebra)
-        self._inv = self.sigma.inverse()
+        self._is_identity = self.sigma.is_identity()
+        self._inv = self.sigma if self._is_identity else self.sigma.inverse()
+
+    @staticmethod
+    def identity(algebra) -> "Suspension":
+        """The one identity suspension of this algebra object."""
+        key = "identity_suspension"
+        if key not in algebra._cache:
+            algebra._cache[key] = Suspension(algebra)
+        return algebra._cache[key]
 
     def is_identity(self) -> bool:
-        return self.sigma.is_identity()
+        return self._is_identity
 
     def apply_module(self, M: Module) -> Module:
         if self.is_identity():
@@ -54,6 +63,8 @@ class Suspension:
         return twist_module(M, self.sigma)
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (
             isinstance(other, Suspension)
             and self.algebra == other.algebra

@@ -867,7 +867,7 @@ def _projective_summand(K: Module):
 
 def r_u_complex(A: Algebra, u, n: int, susp: Suspension | None = None) -> PeriodicComplex:
     """R(u) = (R --u*p--> R --p--> ... --p--> Sigma R) for a square-zero local ring."""
-    susp = susp or Suspension(A)
+    susp = susp or Suspension.identity(A)
     reg = A.regular_module()
     p = tuple(algebra_radical(A).rows[0])
     up = A.multiply(u, p)
@@ -1017,13 +1017,13 @@ def build_context(A: Algebra, n: int, mode: str, unit=None, force=False, budget=
                     "no n-angulation exists here: n is odd and 2p != 0 "
                     "(the class is not closed under rotation)"
                 )
-        susp = Suspension(A)
+        susp = Suspension.identity(A)
         data = {"unit": unit, "parity_violation": (n % 2 == 1 and two_p != zero)}
         return AngulationContext(A, susp, n, mode, forced=force and n % 2 == 1 and two_p != zero, data=data)
     if mode == "semisimple":
         if not is_semisimple(A):
             if not force:
                 raise RefusedContext("algebra is not semisimple")
-            return AngulationContext(A, Suspension(A), n, mode, forced=True)
-        return AngulationContext(A, Suspension(A), n, mode)
+            return AngulationContext(A, Suspension.identity(A), n, mode, forced=True)
+        return AngulationContext(A, Suspension.identity(A), n, mode)
     raise RefusedContext(f"unknown mode {mode!r}")

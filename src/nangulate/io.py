@@ -1,13 +1,28 @@
 """JSON file formats for algebras, modules, maps, complexes and contexts.
 
-Scalars serialize as integers over F_p and as "num/den" strings over Q.
-All matrices are row-major nested lists.  Serialization sorts keys so that
-identical inputs produce byte-identical files.
+Scalars serialize as integers over F_p and as "num/den" strings over Q;
+a JSON float or boolean is refused.  All matrices are row-major nested
+lists.  Serialization sorts keys so that identical inputs produce
+byte-identical files.
+
+Everything read is validated, never trusted: a module's actions must satisfy
+the structure constants, every map of an angle and every user-supplied map
+must intertwine the actions (a map that is not A-linear is a FormatError,
+exit 2 at the command line), and a sigma must be an automorphism.
+
+Each value is validated once per ``Algebra`` object.  Modules, module maps
+and suspensions are interned in tables held weakly on the algebra's cache,
+keyed by their parsed value (modules by dimension and actions, maps by
+source, target and matrix, suspensions by sigma's matrix): a value equal to
+one already loaded over the same algebra object is that object, and is not
+checked again.  A value that fails validation is never stored.  Equal
+values loaded over distinct (even equal) algebra objects stay distinct.
 """
 
 from __future__ import annotations
 
 import json
+import weakref
 
 from .linalg import Mat, field_by_name
 from .algebras import Algebra, AlgebraError, Automorphism, Module, ModuleMap
@@ -37,32 +52,57 @@ def _fmt_scalar(field, a):
 
 
 def _parse_scalar(field, s):
+    if type(s) is int:
+        return field.parse(s)
+    if isinstance(s, (bool, float)):
+        raise FormatError(f"bad scalar {s!r}: scalars are integers, or \"num/den\" strings over Q")
     try:
         return field.parse(s)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise FormatError(f"bad scalar {s!r}: {exc}") from None
+
+
+def _interned(A: Algebra, kind, key, build):
+    """The value of this kind stored under key for the algebra object A.
+
+    On a miss, ``build()`` makes and validates the value, which is then
+    stored.  A value that fails validation raises FormatError and is never
+    stored, so it is refused on every load.  The table holds its values
+    weakly: it keeps nothing alive on its own.
+    """
+    table = A._cache.get(kind)
+    if table is None:
+        table = A._cache[kind] = weakref.WeakValueDictionary()
+    value = table.get(key)
+    if value is None:
+        try:
+            value = table[key] = build()
+        except AlgebraError as exc:
+            raise FormatError(str(exc)) from None
+    return value
 
 
 def mat_to_json(mat: Mat):
     return [[_fmt_scalar(mat.field, a) for a in row] for row in mat.rows]
 
 
-def mat_from_json(field, data, nrows=None, ncols=None):
+def _rows_from_json(field, data, nrows=None, ncols=None):
+    """The parsed rows of a matrix, as a tuple of tuples, checked against the shape given."""
     if not isinstance(data, list) or any(not isinstance(r, list) for r in data):
         raise FormatError("matrix must be a list of rows")
-    rows = [[_parse_scalar(field, a) for a in row] for row in data]
+    rows = tuple(tuple(_parse_scalar(field, a) for a in row) for row in data)
     if nrows is not None and len(rows) != nrows:
         raise FormatError(f"expected {nrows} rows, found {len(rows)}")
-    if not rows:
-        if ncols is None:
-            ncols = 0
-        return Mat(field, [], ncols=ncols)
-    if ncols is None:
+    if ncols is None and rows:
         ncols = len(rows[0])
     for row in rows:
         if len(row) != ncols:
             raise FormatError(f"expected {ncols} columns, found {len(row)}")
-    return Mat(field, rows)
+    return rows
+
+
+def mat_from_json(field, data, nrows=None, ncols=None):
+    return Mat(field, _rows_from_json(field, data, nrows, ncols), ncols or 0)
 
 
 def algebra_to_json(A: Algebra):
@@ -122,14 +162,12 @@ def module_from_json(A: Algebra, data) -> Module:
     _fields(data, "module file", dim=int, action=dict)
     m = data["dim"]
     acts = []
-    for i, label in enumerate(A.labels):
+    for label in A.labels:
         if label not in data["action"]:
             raise FormatError(f"module action is missing basis element {label!r}")
-        acts.append(mat_from_json(A.field, data["action"][label], nrows=m, ncols=m))
-    try:
-        return Module(A, m, acts)
-    except AlgebraError as exc:
-        raise FormatError(str(exc)) from None
+        acts.append(_rows_from_json(A.field, data["action"][label], nrows=m, ncols=m))
+    acts = tuple(acts)
+    return _interned(A, "io_modules", (m, acts), lambda: Module(A, m, [Mat(A.field, rows, m) for rows in acts]))
 
 
 def map_to_json(f: ModuleMap):
@@ -149,25 +187,23 @@ def map_from_json(A: Algebra, data) -> ModuleMap:
 
 def module_map_from_json(source: Module, target: Module, data) -> ModuleMap:
     """A bare matrix read as a module map source -> target, checked to intertwine the actions."""
-    mat = mat_from_json(source.algebra.field, data, nrows=source.dim, ncols=target.dim)
-    try:
-        return ModuleMap(source, target, mat)
-    except AlgebraError as exc:
-        raise FormatError(str(exc)) from None
+    F = source.algebra.field
+    rows = _rows_from_json(F, data, nrows=source.dim, ncols=target.dim)
+    return _interned(
+        source.algebra, "io_maps", (source, target, rows), lambda: ModuleMap(source, target, Mat(F, rows, target.dim))
+    )
 
 
 def automorphism_to_json(sigma: Automorphism):
     return mat_to_json(sigma.mat)
 
 
-def automorphism_from_json(A: Algebra, data) -> Automorphism:
+def _suspension_from_json(A: Algebra, data) -> Suspension:
+    """The suspension of an angle's "sigma": "id", or the matrix of an automorphism of A."""
     if data == "id":
-        return Automorphism.identity(A)
-    mat = mat_from_json(A.field, data, nrows=A.dim, ncols=A.dim)
-    try:
-        return Automorphism(A, mat)
-    except AlgebraError as exc:
-        raise FormatError(str(exc)) from None
+        return Suspension.identity(A)
+    rows = _rows_from_json(A.field, data, nrows=A.dim, ncols=A.dim)
+    return _interned(A, "io_suspensions", rows, lambda: Suspension(A, Automorphism(A, Mat(A.field, rows, A.dim))))
 
 
 def complex_to_json(X: PeriodicComplex):
@@ -181,17 +217,17 @@ def complex_to_json(X: PeriodicComplex):
 
 def complex_from_json(A: Algebra, data) -> PeriodicComplex:
     _fields(data, "angle file", n=int, objects=list, maps=list)
-    sigma = automorphism_from_json(A, data.get("sigma", "id"))
-    susp = Suspension(A, sigma)
+    susp = _suspension_from_json(A, data.get("sigma", "id"))
     objects = [module_from_json(A, obj) for obj in data["objects"]]
     if len(objects) != data["n"] or len(data["maps"]) != data["n"]:
         raise FormatError("objects/maps count does not match n")
     maps = []
     for i, mdata in enumerate(data["maps"]):
-        src = objects[i]
         tgt = objects[i + 1] if i < data["n"] - 1 else susp.apply_module(objects[0])
-        mat = mat_from_json(A.field, mdata, nrows=src.dim, ncols=tgt.dim)
-        maps.append(ModuleMap(src, tgt, mat, check=False))
+        try:
+            maps.append(module_map_from_json(objects[i], tgt, mdata))
+        except FormatError as exc:
+            raise FormatError(f"map {i}: {exc}") from None
     try:
         return PeriodicComplex(susp, objects, maps)
     except ComplexError as exc:

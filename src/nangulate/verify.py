@@ -68,15 +68,20 @@ class Sampler:
         return Q
 
     def random_hom(self, M: Module, N: Module) -> ModuleMap:
-        basis = hom_basis(M, N)
-        out = ModuleMap.zero(M, N)
+        """sum c_b * b over hom_basis(M, N), one draw c_b per basis map in order."""
         F = self.ctx.algebra.field
-        p = getattr(F, "p", 0) or 7
-        for b in basis:
-            c = self.rng.randrange(p)
+        acc = [[F.zero] * N.dim for _ in range(M.dim)]
+        for b in hom_basis(M, N):
+            c = self.rng.randrange(F.p or 7)
             if c:
-                out = out + b.scale(F.of_int(c))
-        return out
+                c = F.of_int(c)
+                for row, brow in zip(acc, b.mat.rows):
+                    for j, a in enumerate(brow):
+                        if a:
+                            row[j] += c * a
+        if F.p:
+            acc = [[a % F.p for a in row] for row in acc]
+        return ModuleMap(M, N, Mat(F, acc, N.dim), check=False)
 
     def random_slot_auto(self, M: Module) -> ModuleMap:
         ident = ModuleMap.identity(M)
