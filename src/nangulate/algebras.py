@@ -80,15 +80,15 @@ class Algebra:
         F = self.field
         out = [F.zero] * self.dim
         for i, xi in enumerate(x):
-            if xi == F.zero:
+            if not xi:
                 continue
             for j, yj in enumerate(y):
-                if yj == F.zero:
+                if not yj:
                     continue
                 c = F.mul(xi, yj)
                 row = self.mult[i][j]
                 for k, ck in enumerate(row):
-                    if ck != F.zero:
+                    if ck:
                         out[k] = F.add(out[k], F.mul(c, ck))
         return tuple(out)
 
@@ -362,11 +362,11 @@ def hom_basis(M: Module, N: Module):
                 row = [F.zero] * (m * n)
                 for s in range(m):
                     a = AM.rows[r][s]
-                    if a != F.zero:
+                    if a:
                         row[s * n + c] = F.add(row[s * n + c], a)
                 for t in range(n):
                     b = AN.rows[t][c]
-                    if b != F.zero:
+                    if b:
                         row[r * n + t] = F.sub(row[r * n + t], b)
                 rows.append(row)
     big = Mat(F, rows, m * n)
@@ -435,7 +435,7 @@ class LinearProblem:
                     col = off + bi
                     for i, erow in enumerate(e.mat.rows):
                         for j, v in enumerate(erow):
-                            if v == F.zero:
+                            if not v:
                                 continue
                             if L is None:
                                 if R is None:
@@ -447,7 +447,7 @@ class LinearProblem:
                                     rrow = R.rows[j]
                                     for c in range(n):
                                         w = rrow[c]
-                                        if w != F.zero:
+                                        if w:
                                             cur = eq_rows[base + c][col]
                                             w = mul(v, w)
                                             eq_rows[base + c][col] = add(cur, w) if sign > 0 else sub(cur, w)
@@ -455,7 +455,7 @@ class LinearProblem:
                                 rrow = None if R is None else R.rows[j]
                                 for r in range(m):
                                     lv = L.rows[r][i]
-                                    if lv == F.zero:
+                                    if not lv:
                                         continue
                                     w0 = mul(v, lv)
                                     base = r * n
@@ -465,7 +465,7 @@ class LinearProblem:
                                     else:
                                         for c in range(n):
                                             w = rrow[c]
-                                            if w != F.zero:
+                                            if w:
                                                 cur = eq_rows[base + c][col]
                                                 w = mul(w0, w)
                                                 eq_rows[base + c][col] = add(cur, w) if sign > 0 else sub(cur, w)
@@ -482,7 +482,7 @@ class LinearProblem:
             acc = Mat.zeros(F, shape[0], shape[1])
             for bi, e in enumerate(basis):
                 c = coords[off + bi]
-                if c != F.zero:
+                if c:
                     acc = acc + e.mat.scale(c)
             out[name] = acc
         return out
@@ -603,8 +603,7 @@ def image(f: ModuleMap):
     Returns (I, incl: I -> target, onto: source -> I) with
     onto.then(incl) == f.
     """
-    basis = row_space_basis(f.mat)
-    I, incl = submodule_from_rows(f.target, basis, closed=True)
+    I, incl = submodule_from_rows(f.target, f.mat, closed=True)
     if I.dim == 0:
         onto = ModuleMap(f.source, I, Mat(f.source.algebra.field, [[] for _ in range(f.source.dim)] if f.source.dim else [], 0), check=False)
         return I, incl, onto

@@ -6,7 +6,16 @@ reduction always picks the leftmost available pivot, and unsolvable systems
 come with a certificate (a left null vector of A that does not kill B).
 
 Matrices are immutable once built.  A matrix is stored row-major; entries are
-plain ints in range(p) for F_p and `fractions.Fraction` for Q.
+plain ints in range(p) for F_p and `fractions.Fraction` for Q.  Either kind is
+falsy exactly at zero, so hot loops test entries for zero by truthiness.
+
+Echelon mark: the matrix `row_space_basis` returns carries its pivot columns.
+Its rows are the nonzero rows of a reduced row echelon form, so they are
+independent and hold the identity at the pivot columns.  Its `rref()` is
+itself, and X @ A = B has at most one solution, read off B at the pivot
+columns: `solve_xa_b` takes that X and keeps it only if X @ A == B.  The
+elimination route would return the same unique X, and None on exactly the
+same inputs, so the mark changes no result, only its cost.
 """
 
 from __future__ import annotations
@@ -150,21 +159,24 @@ class Mat:
     applied as v |-> v @ F, and `F @ G` is "apply F, then G".
     """
 
-    __slots__ = ("field", "nrows", "ncols", "rows", "_rref", "_hash")
+    # _pivots is the echelon mark: set only by row_space_basis, on a matrix
+    # whose rows are already the nonzero rows of an RREF
+    __slots__ = ("field", "nrows", "ncols", "rows", "_rref", "_pivots", "_hash")
 
     def __init__(self, field, rows, ncols=None):
         self.field = field
-        self.rows = tuple(tuple(r) for r in rows)
-        self.nrows = len(self.rows)
-        if self.nrows:
-            self.ncols = len(self.rows[0])
-            if any(len(r) != self.ncols for r in self.rows):
+        self.rows = rows = tuple(map(tuple, rows))
+        self.nrows = len(rows)
+        if rows:
+            self.ncols = len(rows[0])
+            if len(set(map(len, rows))) != 1:
                 raise ValueError("ragged rows")
         else:
             if ncols is None:
                 raise ValueError("empty matrix needs explicit ncols")
             self.ncols = ncols
         self._rref = None
+        self._pivots = None
         self._hash = None
 
     # -- constructors ------------------------------------------------------
@@ -336,8 +348,11 @@ class Mat:
     def rref(self):
         """Reduced row echelon form with leftmost-pivot tie-breaking.
 
-        Returns (R, pivots) and caches the result.
+        Returns (R, pivots) and caches the result; a marked matrix (see
+        row_space_basis) is its own RREF.
         """
+        if self._pivots is not None:
+            return self, self._pivots
         if self._rref is None:
             R, piv, _ = _rref_with_transform(self, want_transform=False)
             self._rref = (R, piv)
@@ -591,9 +606,15 @@ def solve_right(A: Mat, B: Mat, want_cert=True):
 
 
 def row_space_basis(A: Mat) -> Mat:
-    """Nonzero rows of rref(A); deterministic basis of the row space."""
+    """Nonzero rows of rref(A); deterministic basis of the row space.
+
+    The result carries the echelon mark: its pivot columns, so that its own
+    rref and solve_xa_b against it need no elimination.
+    """
     R, piv = A.rref()
-    return Mat(A.field, [R.rows[i] for i in range(len(piv))], A.ncols)
+    basis = Mat(A.field, R.rows[: len(piv)], A.ncols)
+    basis._pivots = piv
+    return basis
 
 
 def left_null_basis(A: Mat) -> Mat:
@@ -603,7 +624,17 @@ def left_null_basis(A: Mat) -> Mat:
 
 
 def solve_xa_b(A: Mat, B: Mat):
-    """Solve X @ A = B for X (row-vector world).  Returns X or None."""
+    """Solve X @ A = B for X (row-vector world).  Returns X or None.
+
+    Against a marked A (see row_space_basis) the only candidate is B read at
+    the pivot columns; otherwise A is eliminated.
+    """
+    piv = A._pivots
+    if piv is not None:
+        if A.ncols != B.ncols:
+            raise ValueError("solve: A.rows must equal B.rows")
+        X = Mat(A.field, [[r[c] for c in piv] for r in B.rows], A.nrows)
+        return X if X @ A == B else None
     Xt, _ = solve_right(A.transpose(), B.transpose(), want_cert=False)
     if Xt is None:
         return None

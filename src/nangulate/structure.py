@@ -414,19 +414,24 @@ def _split_by_element(A: Algebra, unit, z):
     """Try to split the unital subalgebra at z into CRT idempotents.
 
     unit is the identity of the (corner) algebra under consideration; returns
-    a list of >= 2 orthogonal idempotents summing to unit, or None.
+    a list of >= 2 orthogonal idempotents summing to unit, or None.  The CRT
+    moduli are the primary parts f^m of the minimal polynomial mu, so a
+    repeated factor (a nilpotent or unipotent part of z, as in M_r(F_q))
+    still splits: each e is 1 mod its own f^m and 0 mod the others, hence
+    mu divides e^2 - e and the e are idempotents of F[z].
     """
     F = A.field
     mu = _min_poly_coeffs_rel(A, unit, z)
     factors = _factor_poly(F, mu)
     if len(factors) < 2:
         return None
-    if any(m > 1 for _, m in factors):
-        raise AlgebraError("minimal polynomial not squarefree in semisimple quotient")
     idems = []
-    for fac, _ in factors:
-        co, _ = _poly_divmod(F, mu, list(fac))
-        g, s, _ = _poly_gcdex(F, co, list(fac))
+    for fac, mult in factors:
+        q = [F.one]
+        for _ in range(mult):
+            q = _poly_mul(F, q, list(fac))
+        co, _ = _poly_divmod(F, mu, q)
+        g, s, _ = _poly_gcdex(F, co, q)
         if len(g) != 1 or g[0] != F.one:
             raise AlgebraError("cofactor not invertible modulo factor")
         e_poly = _poly_mul(F, co, s)
@@ -455,7 +460,7 @@ def _poly_eval_rel(A: Algebra, unit, coeffs, z):
     acc = tuple(F.zero for _ in range(A.dim))
     for c in reversed(coeffs):
         acc = A.multiply(acc, z)
-        if c != F.zero:
+        if c:
             acc = tuple(F.add(a, F.mul(c, u)) for a, u in zip(acc, unit))
     return acc
 

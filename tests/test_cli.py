@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import pytest
@@ -134,6 +135,37 @@ def test_cli_angulate_refusal_exit_code(tmp_path):
     assert main(["angulate", path, "--n", "3", "--mode", "local-ring", "--unit", "1"]) == 3
     path2 = write_algebra(tmp_path, path_algebra_a2(F2), "pa.json")
     assert main(["angulate", path2, "--n", "3", "--mode", "quasi-periodic"]) == 3
+
+
+def _group_algebra_f2_s3():
+    """F2[S3] as an algebra file: basis the six permutations, g*h = g after h."""
+    perms = list(itertools.permutations(range(3)))
+    index = {g: i for i, g in enumerate(perms)}
+    mult = []
+    for i, g in enumerate(perms):
+        for j, h in enumerate(perms):
+            coords = [0] * 6
+            coords[index[tuple(g[h[k]] for k in range(3))]] = 1
+            mult.append([i, j, coords])
+    return {
+        "field": "F2",
+        "dim": 6,
+        "basis": ["".join(map(str, g)) for g in perms],
+        "unit": [int(g == (0, 1, 2)) for g in perms],
+        "mult": mult,
+    }
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_cli_angulate_f2_s3_refused_by_dimension(tmp_path, capsys, n):
+    # F2[S3] = F2[C2] x M_2(F2): splitting its semisimple quotient meets
+    # minimal polynomials with repeated factors, which once ended in
+    # "failure" (exit 1, a negative verdict).  The F2[C2] block gives
+    # Omega^n of dimension 2, so the context is refused (exit 3).
+    path = tmp_path / "f2s3.json"
+    nio.save_json_file(path, _group_algebra_f2_s3())
+    assert main(["angulate", str(path), "--n", str(n), "--mode", "quasi-periodic"]) == 3
+    assert f"Omega^{n} has dimension 2" in capsys.readouterr().err
 
 
 def test_cli_check_angle(tmp_path):

@@ -203,3 +203,14 @@ def test_zero_dim_matrices():
     Et = E.transpose()
     assert Et.nrows == 3 and Et.ncols == 0
     assert (Et @ E).nrows == 3
+
+
+def test_constructor_refuses_ragged_and_shapeless_rows():
+    with pytest.raises(ValueError, match="ragged rows"):
+        Mat(F3, [[1, 2], [1]])
+    with pytest.raises(ValueError, match="ragged rows"):
+        Mat(F3, ([1], (2, 0), iter([1, 1])))
+    with pytest.raises(ValueError, match="empty matrix needs explicit ncols"):
+        Mat(F3, [])
+    M = Mat(F3, (iter((1, 2)), [0, 1]))
+    assert (M.nrows, M.ncols, M.rows) == (2, 2, ((1, 2), (0, 1)))

@@ -6,14 +6,23 @@ The production kernels (support-restricted updates over odd p, C-level F2
 packing, F2 rref by pivot-keyed insertion) must agree with it exactly: R,
 pivots, T, solve_right's X and certificate, and null_right.  The product,
 which multiplies only nonzero entries, is held to the dense row-by-column
-sum in the same way, and kron to its definition.
+sum in the same way, and kron to its definition.  A basis that
+row_space_basis returns carries its pivots (the echelon mark); solving
+against it reads coordinates off the pivot columns, and must agree with the
+elimination route on an unmarked copy of the same rows.
 """
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+import nangulate.linalg as linalg
+from nangulate.algebras import AlgebraError, Module, ModuleMap, submodule_from_rows
 from nangulate.bimodules import kron
+from nangulate.builders import dual_numbers, truncated_polynomial_algebra
+from nangulate.complexes import ChainMap, ComplexError, z1_of_chain
+from nangulate.engine import r_u_complex
 from nangulate.linalg import (
     QQ,
     Mat,
@@ -21,7 +30,10 @@ from nangulate.linalg import (
     _rref_with_transform,
     field_by_name,
     null_right,
+    row_space_basis,
     solve_right,
+    solve_xa_b,
+    vec_in_row_space,
 )
 
 
@@ -302,3 +314,108 @@ def test_f2_rref_by_insertion_matches_elimination(A):
     R, piv = A.rref()
     assert (R, piv) == _rref_with_transform(A, True)[:2]
     assert (R, piv) == ref_rref_f2(A, want_transform=False)[:2]
+
+
+# -- the echelon mark ---------------------------------------------------------
+
+ECHELON_FIELDS = [field_by_name("F2"), field_by_name("F3"), field_by_name("F5"), QQ]
+
+
+def _unmarked(A: Mat) -> Mat:
+    return Mat(A.field, A.rows, A.ncols)
+
+
+@st.composite
+def marked_system(draw):
+    """A marked basis and B with rows in its span, outside it, random, or none."""
+    F = draw(st.sampled_from(ECHELON_FIELDS))
+    m = draw(st.integers(min_value=0, max_value=10))
+    n = draw(st.integers(min_value=0, max_value=12))
+    k = draw(st.integers(min_value=1, max_value=4))
+    density = draw(st.sampled_from([0.1, 0.5, 1.0]))
+    rng = draw(st.randoms(use_true_random=False))
+    basis = row_space_basis(_random_mat(F, rng, density, m, n))
+    kind = draw(st.sampled_from(["span", "outside", "random", "no rows"]))
+    if kind == "no rows":
+        return basis, Mat(F, [], n)
+    if kind == "random":
+        return basis, _random_mat(F, rng, density, k, n)
+    B = _random_mat(F, rng, density, k, basis.nrows) @ basis
+    free = [j for j in range(n) if j not in basis.rref()[1]]
+    if kind == "outside" and free:
+        # a unit vector at a free column is never in the span
+        rows = [list(r) for r in B.rows]
+        i = rng.randrange(k)
+        j = rng.choice(free)
+        rows[i][j] = F.add(rows[i][j], F.one)
+        B = Mat(F, rows, n)
+    return basis, B
+
+
+@settings(max_examples=300, deadline=None)
+@given(marked_system())
+def test_echelon_route_matches_elimination(AB):
+    A, B = AB
+    plain = _unmarked(A)
+    assert A._pivots is not None and plain._pivots is None
+    X = solve_xa_b(A, B)
+    assert X == solve_xa_b(plain, B)
+    if X is not None:
+        assert X @ A == B
+    assert A.rref() == plain.rref()
+    assert null_right(A) == null_right(plain)
+    for row in B.rows:
+        assert vec_in_row_space(row, A) == vec_in_row_space(row, plain)
+
+
+def test_echelon_route_empty_basis():
+    for F in ECHELON_FIELDS:
+        for n in (0, 3):
+            A = row_space_basis(Mat(F, [[F.zero] * n] * 2, n))
+            assert (A.nrows, A.ncols, A.rref()[1]) == (0, n, [])
+            for B in (Mat(F, [], n), Mat(F, [[F.zero] * n] * 2, n), Mat(F, [[F.one] * n], n)):
+                assert solve_xa_b(A, B) == solve_xa_b(_unmarked(A), B)
+            # a column count that does not match is refused on both routes
+            with pytest.raises(ValueError):
+                solve_xa_b(A, Mat(F, [[F.one] * (n + 1)], n + 1))
+
+
+def test_marked_rref_runs_no_elimination(monkeypatch):
+    F = field_by_name("F3")
+    A = Mat(F, [[1, 2, 0, 1], [2, 1, 1, 0], [0, 0, 1, 2]], 4)
+    basis = row_space_basis(A)
+    want = _rref_with_transform(basis, False)[:2]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a marked matrix was eliminated")
+
+    monkeypatch.setattr(linalg, "_rref_with_transform", refuse)
+    assert basis.rref() == want
+    assert row_space_basis(basis) == basis
+    assert solve_xa_b(basis, basis) == Mat.identity(F, basis.nrows)
+
+
+@pytest.mark.parametrize("field", ["F2", "F3", "Q"])
+def test_closed_submodule_still_checks_stability(field):
+    A = truncated_polynomial_algebra(field_by_name(field), 3)
+    F = A.field
+    reg = A.regular_module()
+    # the span of the unit is not stable under x
+    with pytest.raises(AlgebraError, match="action-stable"):
+        submodule_from_rows(reg, Mat(F, [list(A.unit)], A.dim), closed=True)
+    # the span of x and x^2 is, and its action is read off the pivots
+    S, incl = submodule_from_rows(reg, Mat(F, [list(A.basis_vector(1)), list(A.basis_vector(2))], A.dim), closed=True)
+    assert S.dim == 2 and incl.mat.rows == ((F.zero, F.one, F.zero), (F.zero, F.zero, F.one))
+    Module(A, S.dim, S.action, check=True)  # the action laws hold
+
+
+@pytest.mark.parametrize("field", ["F2", "F3", "Q"])
+def test_z1_of_non_chain_map_still_raises(field):
+    A = dual_numbers(field_by_name(field))
+    F = A.field
+    R = r_u_complex(A, A.unit, 3)
+    swap = Mat(F, [[F.zero, F.one], [F.one, F.zero]], 2)
+    parts = [ModuleMap(R.objects[0], R.objects[0], swap, check=False)]
+    parts += [ModuleMap.identity(M) for M in R.objects[1:]]
+    with pytest.raises(ComplexError, match="does not induce"):
+        z1_of_chain(ChainMap(R, R, parts, check=False))
