@@ -19,6 +19,7 @@ from functools import lru_cache
 from .linalg import (
     Mat,
     left_null_basis,
+    linear_combination,
     row_space_basis,
     solve_right,
     solve_xa_b,
@@ -229,12 +230,7 @@ class Module:
 
     def act(self, x) -> Mat:
         """Action matrix of the algebra element with coordinates x."""
-        F = self.algebra.field
-        out = Mat.zeros(F, self.dim, self.dim)
-        for i, xi in enumerate(x):
-            if xi != F.zero:
-                out = out + self.action[i].scale(xi)
-        return out
+        return linear_combination(self.algebra.field, self.dim, self.dim, zip(x, self.action))
 
     def is_zero(self) -> bool:
         return self.dim == 0
@@ -381,6 +377,20 @@ def hom_basis(M: Module, N: Module):
     return tuple(maps)
 
 
+def _supports(F, A, n, by_columns):
+    """Each row (or column) of A as its nonzero (index, value) pairs; A None is the n x n identity."""
+    if A is None:
+        return _unit_supports(F, n)
+    lines = (zip(*A.rows) if A.nrows else [()] * n) if by_columns else A.rows
+    return [[(j, a) for j, a in enumerate(line) if a] for line in lines]
+
+
+@lru_cache(maxsize=None)
+def _unit_supports(F, n):
+    """The supports of the n x n identity; tuples, since every caller shares them."""
+    return tuple(((i, F.one),) for i in range(n))
+
+
 class LinearProblem:
     """A joint linear system over hom-space coordinates of named unknowns.
 
@@ -415,76 +425,47 @@ class LinearProblem:
         return offsets, total
 
     def matrix(self):
-        """(A, B) with the system reading A @ x = B for the coordinate column x."""
+        """(A, B) with the system reading A @ x = B for the coordinate column x.
+
+        vec(L @ e @ R)[(r, c)] is the sum over the nonzero e[i][j] of
+        e[i][j] * L[r][i] * R[j][c], a missing L or R read as the identity.
+        Hom bases are sparse, so only these products are formed, each added
+        into its cell with the field's addition.
+        """
         F = self.field
-        add, sub, mul = F.add, F.sub, F.mul
+        add = F.add
         offsets, total = self._offsets()
         rows = []
         rhs_flat = []
         for terms, rhs in self.equations:
-            m, n = rhs.nrows, rhs.ncols
-            eq_rows = [[F.zero] * total for _ in range(m * n)]
+            n = rhs.ncols
+            eq_rows = [[F.zero] * total for _ in range(rhs.nrows * n)]
             for name, L, R, sign in terms:
                 k = self.index[name]
-                _, basis, shape = self.unknowns[k]
-                off = offsets[k]
-                # vec(L @ e @ R)[(r, c)] = sum over nonzero e[i][j] of
-                # e[i][j] * L[r][i] * R[j][c]; hom bases are sparse, so
-                # accumulate outer products per nonzero entry
-                for bi, e in enumerate(basis):
-                    col = off + bi
+                _, basis, (em, en) = self.unknowns[k]
+                lcols = _supports(F, L, em, by_columns=True)
+                rrows = _supports(F, R, en, by_columns=False)
+                for col, e in enumerate(basis, offsets[k]):
                     for i, erow in enumerate(e.mat.rows):
                         for j, v in enumerate(erow):
-                            if not v:
-                                continue
-                            if L is None:
-                                if R is None:
-                                    r0 = i * n + j
-                                    cur = eq_rows[r0][col]
-                                    eq_rows[r0][col] = add(cur, v) if sign > 0 else sub(cur, v)
-                                else:
-                                    base = i * n
-                                    rrow = R.rows[j]
-                                    for c in range(n):
-                                        w = rrow[c]
-                                        if w:
-                                            cur = eq_rows[base + c][col]
-                                            w = mul(v, w)
-                                            eq_rows[base + c][col] = add(cur, w) if sign > 0 else sub(cur, w)
-                            else:
-                                rrow = None if R is None else R.rows[j]
-                                for r in range(m):
-                                    lv = L.rows[r][i]
-                                    if not lv:
-                                        continue
-                                    w0 = mul(v, lv)
+                            if v:
+                                for r, a in lcols[i]:
+                                    w = sign * v * a
                                     base = r * n
-                                    if R is None:
-                                        cur = eq_rows[base + j][col]
-                                        eq_rows[base + j][col] = add(cur, w0) if sign > 0 else sub(cur, w0)
-                                    else:
-                                        for c in range(n):
-                                            w = rrow[c]
-                                            if w:
-                                                cur = eq_rows[base + c][col]
-                                                w = mul(w0, w)
-                                                eq_rows[base + c][col] = add(cur, w) if sign > 0 else sub(cur, w)
+                                    for c, b in rrows[j]:
+                                        row = eq_rows[base + c]
+                                        row[col] = add(row[col], w * b)
             rows.extend(eq_rows)
             rhs_flat.extend(rhs.flatten())
         return Mat(F, rows, total), Mat(F, [[v] for v in rhs_flat], 1)
 
     def assignment(self, coords):
         """Dict name -> matrix of each unknown at the coordinate vector coords."""
-        F = self.field
         offsets, _ = self._offsets()
         out = {}
-        for (name, basis, shape), off in zip(self.unknowns, offsets):
-            acc = Mat.zeros(F, shape[0], shape[1])
-            for bi, e in enumerate(basis):
-                c = coords[off + bi]
-                if c:
-                    acc = acc + e.mat.scale(c)
-            out[name] = acc
+        for (name, basis, (m, n)), off in zip(self.unknowns, offsets):
+            terms = zip(coords[off : off + len(basis)], (e.mat for e in basis))
+            out[name] = linear_combination(self.field, m, n, terms)
         return out
 
     def solve(self, want_cert=True):
@@ -519,20 +500,10 @@ def closure_under_action(M: Module, rows: Mat) -> Mat:
     """Row basis of the submodule generated by the given row vectors."""
     basis = row_space_basis(rows)
     while True:
-        stacked = [basis]
-        for am in M.action:
-            stacked.append(basis @ am)
-        new = row_space_basis(stacked[0].vstack(stacked[1]) if len(stacked) == 2 else _vstack_all(stacked))
+        new = row_space_basis(basis.vstack(*(basis @ am for am in M.action)))
         if new.nrows == basis.nrows:
             return new
         basis = new
-
-
-def _vstack_all(mats):
-    out = mats[0]
-    for m in mats[1:]:
-        out = out.vstack(m)
-    return out
 
 
 def submodule_from_rows(M: Module, rows: Mat, closed=False):

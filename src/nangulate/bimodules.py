@@ -305,10 +305,6 @@ def twist_module(M: Module, tau: Automorphism) -> Module:
     return Module(A, M.dim, acts, check=False)
 
 
-def twist_map(f: ModuleMap, tau: Automorphism) -> ModuleMap:
-    return ModuleMap(twist_module(f.source, tau), twist_module(f.target, tau), f.mat, check=False)
-
-
 # -- tensor with a bimodule --------------------------------------------------------
 
 
@@ -369,14 +365,6 @@ def tensor_module_bimodule(env: Enveloping, M: Module, B: Module) -> TensorResul
     return TensorResult(Q, proj.mat, section)
 
 
-def tensor_map_module_side(env, f: ModuleMap, B: Module, src: TensorResult, tgt: TensorResult) -> ModuleMap:
-    """f (x) id_B : (source (x) B) -> (target (x) B)."""
-    F = env.base.field
-    pre = kron(f.mat, Mat.identity(F, B.dim))
-    mat = src.section @ pre @ tgt.proj
-    return ModuleMap(src.module, tgt.module, mat, check=False)
-
-
 def tensor_map_bimodule_side(env, M: Module, g: ModuleMap, src: TensorResult, tgt: TensorResult) -> ModuleMap:
     """id_M (x) g : (M (x) g.source) -> (M (x) g.target)."""
     F = env.base.field
@@ -407,37 +395,3 @@ def twist_form_iso(env: Enveloping, M: Module, tau: Automorphism, tens: TensorRe
         raise AlgebraError("twist-form comparison is not an isomorphism")
     return iso
 
-
-def tensor_bimodules(env: Enveloping, X: Module, Y: Module):
-    """X (x)_A Y of two bimodules, again as a bimodule (module over A^e)."""
-    A = env.base
-    F = A.field
-    d = A.dim
-    xd, yd = X.dim, Y.dim
-    pre_dim = xd * yd
-    acts = []
-    for i in range(d):
-        li = kron(env.left_action_mat(X, A.basis_vector(i)), Mat.identity(F, yd))
-        for j in range(d):
-            rj = kron(Mat.identity(F, xd), env.right_action_mat(Y, A.basis_vector(j)))
-            acts.append(li @ rj)
-    pre = Module(env.algebra, pre_dim, acts, check=False)
-    rel_rows = []
-    for s in range(d):
-        right_s = env.right_action_mat(X, A.basis_vector(s))
-        left_s = env.left_action_mat(Y, A.basis_vector(s))
-        for u in range(xd):
-            xu = right_s.rows[u]
-            for v in range(yd):
-                row = [F.zero] * pre_dim
-                for a, c in enumerate(xu):
-                    if c != F.zero:
-                        row[a * yd + v] = F.add(row[a * yd + v], c)
-                yv = left_s.rows[v]
-                for b, c in enumerate(yv):
-                    if c != F.zero:
-                        row[u * yd + b] = F.sub(row[u * yd + b], c)
-                rel_rows.append(row)
-    rels = Mat(F, rel_rows, pre_dim)
-    Q, proj = quotient_by_rows(pre, rels)
-    return Q

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 
-from .linalg import ENUMERATION_LIMIT, Mat, PrimeField, solve_right, solve_xa_b
+from .linalg import ENUMERATION_LIMIT, Mat, PrimeField, linear_combination, solve_right, solve_xa_b
 from .algebras import (
     Algebra,
     AlgebraError,
@@ -179,11 +179,9 @@ def module_iso_search(M: Module, N: Module):
     F = M.algebra.field
     k = len(basis)
     if isinstance(F, PrimeField) and F.p**k <= ENUMERATION_LIMIT:
+        mats = [b.mat for b in basis]
         for coeffs in itertools.product(range(F.p), repeat=k):
-            mat = Mat.zeros(F, M.dim, N.dim)
-            for c, b in zip(coeffs, basis):
-                if c:
-                    mat = mat + b.mat.scale(F.of_int(c))
+            mat = linear_combination(F, M.dim, N.dim, zip(coeffs, mats))
             if mat.is_invertible():
                 return ModuleMap(M, N, mat, check=False)
         return None

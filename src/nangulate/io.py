@@ -170,21 +170,6 @@ def module_from_json(A: Algebra, data) -> Module:
     return _interned(A, "io_modules", (m, acts), lambda: Module(A, m, [Mat(A.field, rows, m) for rows in acts]))
 
 
-def map_to_json(f: ModuleMap):
-    return {
-        "source": module_to_json(f.source),
-        "target": module_to_json(f.target),
-        "matrix": mat_to_json(f.mat),
-    }
-
-
-def map_from_json(A: Algebra, data) -> ModuleMap:
-    _fields(data, "map file", source=dict, target=dict, matrix=list)
-    src = module_from_json(A, data["source"])
-    tgt = module_from_json(A, data["target"])
-    return module_map_from_json(src, tgt, data["matrix"])
-
-
 def module_map_from_json(source: Module, target: Module, data) -> ModuleMap:
     """A bare matrix read as a module map source -> target, checked to intertwine the actions."""
     F = source.algebra.field

@@ -9,6 +9,15 @@ Matrices are immutable once built.  A matrix is stored row-major; entries are
 plain ints in range(p) for F_p and `fractions.Fraction` for Q.  Either kind is
 falsy exactly at zero, so hot loops test entries for zero by truthiness.
 
+Elimination has two representations.  F2 rows are packed into ints and
+eliminated by XOR.  Odd p and Q share one loop over dense list rows that
+updates each row only over the lead row's nonzero support, reducing mod p
+over F_p.  Neither keeps a separate transform: T is the identity block
+appended past column n (over F2, bits n..n+m-1), which undergoes the same
+row operations while pivots are sought only in the first n columns.  Sums
+c1 * M1 + c2 * M2 + ... go through `linear_combination`, which, like the
+product, touches only nonzero entries and reduces mod p once.
+
 Echelon mark: the matrix `row_space_basis` returns carries its pivot columns.
 Its rows are the nonzero rows of a reduced row echelon form, so they are
 independent and hold the identity at the pivot columns.  Its `rref()` is
@@ -280,19 +289,18 @@ class Mat:
             return Mat(self.field, [[] for _ in range(self.ncols)] if self.ncols else [], 0)
         return Mat(self.field, list(zip(*self.rows)), self.nrows)
 
-    def hstack(self, other):
-        if self.nrows != other.nrows:
+    def hstack(self, *others):
+        """[self | others...]: the blocks side by side."""
+        if any([o.nrows != self.nrows for o in others]):
             raise ValueError("hstack row mismatch")
-        return Mat(
-            self.field,
-            [list(r1) + list(r2) for r1, r2 in zip(self.rows, other.rows)],
-            self.ncols + other.ncols,
-        )
+        mats = (self,) + others
+        return Mat(self.field, [sum(rs, ()) for rs in zip(*[m.rows for m in mats])], sum([m.ncols for m in mats]))
 
-    def vstack(self, other):
-        if self.ncols != other.ncols:
+    def vstack(self, *others):
+        """self above others..., in one pass over their rows."""
+        if any([o.ncols != self.ncols for o in others]):
             raise ValueError("vstack col mismatch")
-        return Mat(self.field, list(self.rows) + list(other.rows), self.ncols)
+        return Mat(self.field, [r for m in (self,) + others for r in m.rows], self.ncols)
 
     @staticmethod
     def block_diag(field, blocks):
@@ -400,12 +408,12 @@ def _unpack_f2(packed, n):
 def _rref_f2(A: Mat, want_transform: bool):
     """Bit-packed row reduction over F_2: rows are ints, elimination is XOR.
 
-    Produces entry-identical output to the generic path (same pivot choices,
-    same normalization), just faster.  Without a transform each row is
-    reduced into a dict {lowest set bit: row} and the pivot columns are then
-    cleared from the other pivot rows; the RREF of a row space is unique, so
-    R and the pivots are those of the column-by-column elimination, which
-    still builds T when one is asked for.
+    Without a transform each row is reduced into a dict {lowest set bit: row}
+    and the pivot columns are then cleared from the other pivot rows; the
+    RREF of a row space is unique, so R and the pivots are those of the
+    column-by-column elimination.  With a transform, row i also carries bit
+    n + i (the identity block) and is eliminated column by column, pivots
+    sought only below bit n; bits n.. then hold T.
     """
     m, n = A.nrows, A.ncols
     packed = _pack_f2(A.rows, n)
@@ -430,7 +438,7 @@ def _rref_f2(A: Mat, want_transform: bool):
                     lead[c] ^= row
         R = Mat(F, _unpack_f2([lead[c] for c in pivots] + [0] * (m - len(pivots)), n), n)
         return R, pivots, None
-    t = [1 << i for i in range(m)]
+    packed = [v | 1 << (n + i) for i, v in enumerate(packed)]
     pivots = []
     r = 0
     for c in range(n):
@@ -439,39 +447,43 @@ def _rref_f2(A: Mat, want_transform: bool):
         if pr is None:
             continue
         packed[r], packed[pr] = packed[pr], packed[r]
-        t[r], t[pr] = t[pr], t[r]
-        lead, tl = packed[r], t[r]
+        lead = packed[r]
         for i in range(m):
             if i != r and packed[i] & bit:
                 packed[i] ^= lead
-                t[i] ^= tl
         pivots.append(c)
         r += 1
         if r == m:
             break
-    return Mat(F, _unpack_f2(packed, n), n), pivots, Mat(F, _unpack_f2(t, m), m)
+    mask = (1 << n) - 1
+    R = Mat(F, _unpack_f2([v & mask for v in packed], n), n)
+    return R, pivots, Mat(F, _unpack_f2([v >> n for v in packed], m), m)
 
 
-def _rref_mod_p(A: Mat, want_transform: bool):
-    """Row reduction over F_p, p odd, touching only nonzero entries.
+def _rref_with_transform(A: Mat, want_transform: bool):
+    """Row reduce A.  Returns (R, pivots, T) with T @ A = R when requested.
 
-    Rows stay dense lists, but once the lead row is normalized its support
-    (the nonzero entries, all at columns >= the pivot) is collected, and each
-    row that needs elimination is updated in place over that support only;
-    the transform rows are handled the same way.  Entries must be reduced
-    (in range(p)), as every field operation leaves them; the result is then
-    entry-identical to a dense elimination with the same pivots.
+    F2 goes to the packed kernel.  Odd p and Q share one loop over dense list
+    rows: once the lead row is normalized its support (the nonzero entries,
+    all at columns >= the pivot) is collected, and each row that needs
+    elimination is updated in place over that support only, reduced mod p
+    over F_p.  Zeros add nothing, so the entries are those of a dense
+    elimination with the same pivots.  For T, the identity block is appended
+    past column n and pivots are sought only in the first n columns; the
+    block undergoes the same row operations and ends as T.
     """
     F = A.field
     p = F.p
+    if p == 2:
+        return _rref_f2(A, want_transform)
     m, n = A.nrows, A.ncols
     rows = [list(r) for r in A.rows]
+    width = n
     if want_transform:
-        t = [[0] * m for _ in range(m)]
-        for i in range(m):
-            t[i][i] = 1
-    else:
-        t = None
+        width += m
+        for i, row in enumerate(rows):
+            row += [F.zero] * m
+            row[n + i] = F.one
     pivots = []
     r = 0
     for c in range(n):
@@ -480,79 +492,50 @@ def _rref_mod_p(A: Mat, want_transform: bool):
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
         lead = rows[r]
-        inv = pow(lead[c], -1, p)
-        support = [j for j in range(c, n) if lead[j]]
+        inv = pow(lead[c], -1, p) if p else 1 / Fraction(lead[c])
+        support = [j for j in range(c, width) if lead[j]]
         if inv != 1:
-            for j in support:
-                lead[j] = lead[j] * inv % p
+            if p:
+                for j in support:
+                    lead[j] = lead[j] * inv % p
+            else:
+                for j in support:
+                    lead[j] *= inv
         support = [(j, lead[j]) for j in support]
-        if t is not None:
-            t[r], t[pr] = t[pr], t[r]
-            tl = t[r]
-            t_support = [j for j in range(m) if tl[j]]
-            if inv != 1:
-                for j in t_support:
-                    tl[j] = tl[j] * inv % p
-            t_support = [(j, tl[j]) for j in t_support]
         for i in [i for i in range(m) if rows[i][c] and i != r]:
             row = rows[i]
             f = row[c]
-            for j, b in support:
-                row[j] = (row[j] - f * b) % p
-            if t is not None:
-                ti = t[i]
-                for j, b in t_support:
-                    ti[j] = (ti[j] - f * b) % p
+            if p:
+                for j, b in support:
+                    row[j] = (row[j] - f * b) % p
+            else:
+                for j, b in support:
+                    row[j] -= f * b
         pivots.append(c)
         r += 1
         if r == m:
             break
-    R = Mat(F, rows, n)
-    T = Mat(F, t, m) if t is not None else None
-    return R, pivots, T
+    if not want_transform:
+        return Mat(F, rows, n), pivots, None
+    return Mat(F, [row[:n] for row in rows], n), pivots, Mat(F, [row[n:] for row in rows], m)
 
 
-def _rref_with_transform(A: Mat, want_transform: bool):
-    """Row reduce A.  Returns (R, pivots, T) with T @ A = R when requested."""
-    F = A.field
-    if isinstance(F, PrimeField):
-        if F.p == 2:
-            return _rref_f2(A, want_transform)
-        return _rref_mod_p(A, want_transform)
-    m, n = A.nrows, A.ncols
-    rows = [list(r) for r in A.rows]
-    if want_transform:
-        t = [[F.one if i == j else F.zero for j in range(m)] for i in range(m)]
-    else:
-        t = None
-    pivots = []
-    r = 0
-    for c in range(n):
-        pr = next((i for i in range(r, m) if rows[i][c] != F.zero), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        if t is not None:
-            t[r], t[pr] = t[pr], t[r]
-        inv = F.inv(rows[r][c])
-        rows[r] = [F.mul(a, inv) for a in rows[r]]
-        if t is not None:
-            t[r] = [F.mul(a, inv) for a in t[r]]
-        lead = rows[r]
-        tl = t[r] if t is not None else None
-        for i in range(m):
-            if i != r and rows[i][c] != F.zero:
-                f = rows[i][c]
-                rows[i] = [F.sub(a, F.mul(f, b)) for a, b in zip(rows[i], lead)]
-                if t is not None:
-                    t[i] = [F.sub(a, F.mul(f, b)) for a, b in zip(t[i], tl)]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    R = Mat(F, rows, n)
-    T = Mat(F, t, m) if t is not None else None
-    return R, pivots, T
+def linear_combination(F, nrows, ncols, terms) -> Mat:
+    """sum c * M over the (c, M) pairs of terms, each M nrows x ncols.
+
+    Only nonzero c and nonzero entries of M are touched, and over F_p the
+    sums are reduced once at the end, as in the product; the entries are
+    those of the chain of additions M1.scale(c1) + M2.scale(c2) + ...
+    """
+    acc = [[F.zero] * ncols for _ in range(nrows)]
+    for c, M in terms:
+        if c:
+            for row, mrow in zip(acc, M.rows):
+                for j, a in enumerate(mrow):
+                    if a:
+                        row[j] += c * a
+    p = F.p
+    return Mat(F, [[a % p for a in row] for row in acc] if p else acc, ncols)
 
 
 def null_right(A: Mat) -> Mat:

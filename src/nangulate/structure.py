@@ -31,7 +31,6 @@ from .algebras import (
     AlgebraError,
     Module,
     ModuleMap,
-    cokernel,
     direct_sum_modules,
     hom_basis,
     quotient_by_rows,
@@ -208,11 +207,7 @@ def radical_module(M: Module):
     if M.dim == 0 or rad.nrows == 0:
         Z = Module.zero(A)
         return Z, ModuleMap(Z, M, Mat(A.field, [], ncols=M.dim), check=False)
-    stacked = None
-    for r in range(rad.nrows):
-        img = M.act(tuple(rad.rows[r]))
-        stacked = img if stacked is None else stacked.vstack(img)
-    return submodule_from_rows(M, stacked, closed=False)
+    return submodule_from_rows(M, Mat.vstack(*(M.act(r) for r in rad.rows)), closed=False)
 
 
 @_module_memo
@@ -225,11 +220,7 @@ def socle_module(M: Module):
         return Z, ModuleMap(Z, M, Mat(A.field, [], ncols=M.dim), check=False)
     if rad.nrows == 0:
         return M, ModuleMap.identity(M)
-    blocks = None
-    for r in range(rad.nrows):
-        am = M.act(tuple(rad.rows[r]))
-        blocks = am if blocks is None else blocks.hstack(am)
-    rows = left_null_basis(blocks)
+    rows = left_null_basis(Mat.hstack(*(M.act(r) for r in rad.rows)))
     return submodule_from_rows(M, rows, closed=True)
 
 
@@ -724,7 +715,7 @@ def projective_cover(M: Module) -> Cover:
             rows.append(list(img))
         blocks.append(Mat(F, rows, M.dim))
     P, incls, projs = direct_sum_modules([s[1] for s in summands])
-    epi_mat = blocks[0] if len(blocks) == 1 else _vstack(blocks)
+    epi_mat = Mat.vstack(*blocks)
     epi = ModuleMap(P, M, epi_mat, check=False)
     if epi.rank() != M.dim:
         raise AlgebraError("constructed cover is not surjective")
@@ -732,13 +723,6 @@ def projective_cover(M: Module) -> Cover:
     if topP.dim != T.dim:
         raise AlgebraError("constructed cover is not minimal")
     return Cover(P, epi, summands, incls, projs)
-
-
-def _vstack(mats):
-    out = mats[0]
-    for m in mats[1:]:
-        out = out.vstack(m)
-    return out
 
 
 @_module_memo
@@ -799,13 +783,6 @@ def injective_envelope(M: Module):
     return I, mono
 
 
-def cosyzygy(M: Module):
-    """(Omega^{-1} M, envelope I, mono, epi I -> Omega^{-1} M)."""
-    I, mono = injective_envelope(M)
-    Q, proj = cokernel(mono)
-    return Q, I, mono, proj
-
-
 # -- stable maps -----------------------------------------------------------------
 
 
@@ -830,7 +807,7 @@ def stable_equal(f: ModuleMap, g: ModuleMap) -> bool:
     return stable_zero_witness(f - g) is not None
 
 
-# -- semisimple split factorization ----------------------------------------------
+# -- splitting through the image ------------------------------------------------
 
 
 def split_through_image(f: ModuleMap):
@@ -849,15 +826,3 @@ def split_through_image(f: ModuleMap):
         return None
     return onto, incl, ModuleMap(W, f.source, section, check=False), ModuleMap(f.target, W, retraction, check=False)
 
-
-def split_factorization(f: ModuleMap):
-    """split_through_image(f), only over semisimple algebras.
-
-    There every submodule is a summand, so the split always exists.
-    """
-    if not is_semisimple(f.source.algebra):
-        raise UnsupportedRegime("split factorization requires a semisimple algebra")
-    split = split_through_image(f)
-    if split is None:
-        raise AlgebraError("semisimple splitting failed")
-    return split

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 
-from .linalg import Mat
+from .linalg import Mat, linear_combination
 from .algebras import Module, ModuleMap, direct_sum_modules, hom_basis, submodule_from_rows
 from .structure import projective_indecomposables
 from .complexes import (
@@ -70,18 +70,8 @@ class Sampler:
     def random_hom(self, M: Module, N: Module) -> ModuleMap:
         """sum c_b * b over hom_basis(M, N), one draw c_b per basis map in order."""
         F = self.ctx.algebra.field
-        acc = [[F.zero] * N.dim for _ in range(M.dim)]
-        for b in hom_basis(M, N):
-            c = self.rng.randrange(F.p or 7)
-            if c:
-                c = F.of_int(c)
-                for row, brow in zip(acc, b.mat.rows):
-                    for j, a in enumerate(brow):
-                        if a:
-                            row[j] += c * a
-        if F.p:
-            acc = [[a % F.p for a in row] for row in acc]
-        return ModuleMap(M, N, Mat(F, acc, N.dim), check=False)
+        terms = [(F.of_int(self.rng.randrange(F.p or 7)), b.mat) for b in hom_basis(M, N)]
+        return ModuleMap(M, N, linear_combination(F, M.dim, N.dim, terms), check=False)
 
     def random_slot_auto(self, M: Module) -> ModuleMap:
         ident = ModuleMap.identity(M)

@@ -9,12 +9,9 @@ from nangulate.bimodules import (
     bimodule_syzygy,
     detect_twist,
     kron,
-    tensor_bimodules,
     tensor_map_bimodule_side,
-    tensor_map_module_side,
     tensor_module_bimodule,
     twist_form_iso,
-    twist_map,
     twist_module,
 )
 from nangulate.builders import (
@@ -211,22 +208,6 @@ def test_power_law_f3():
         assert res.sigma.is_identity() == expect_identity
 
 
-def test_twist_composition_law():
-    # detect_twist on 1_A_sigma (x)_A 1_A_tau returns tau . sigma
-    A = dual_numbers(F3)
-    env = Enveloping(A)
-    sigma = scaling_automorphism(A, 1, F3.of_int(-1))
-    tau = scaling_automorphism(A, 1, F3.of_int(-1))
-    X = env.twisted_bimodule(sigma)
-    Y = env.twisted_bimodule(tau)
-    T = tensor_bimodules(env, X, Y)
-    assert T.dim == 2
-    res = detect_twist(env, T)
-    assert res is not None
-    assert res.sigma.mat == tau.then(sigma).mat  # tau sigma = identity here
-    assert res.sigma.is_identity()
-
-
 def test_twist_module_identity():
     A = dual_numbers(F2)
     reg = A.regular_module()
@@ -292,13 +273,8 @@ def test_tensor_functoriality():
     env = Enveloping(A)
     B = env.regular_bimodule()
     reg = A.regular_module()
-    k = simple_over_dual_numbers(A)
-    f = hom_basis(reg, k)[0]
     t_reg = tensor_module_bimodule(env, reg, B)
-    t_k = tensor_module_bimodule(env, k, B)
-    tf = tensor_map_module_side(env, f, B, t_reg, t_k)
-    assert tf.mat.rank() == 1
-    # composing with identity bimodule map changes nothing
+    # tensoring with the identity bimodule map changes nothing
     idmap = ModuleMap.identity(B)
     tid = tensor_map_bimodule_side(env, reg, idmap, t_reg, t_reg)
     assert tid.mat == Mat.identity(F2, t_reg.module.dim)

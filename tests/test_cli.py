@@ -37,8 +37,8 @@ def test_roundtrip_algebra_module_map():
     from nangulate.builders import right_multiplication_map
 
     f = right_multiplication_map(A, A.basis_vector(1))
-    f2 = nio.map_from_json(A2, nio.map_to_json(f))
-    assert f2.mat == f.mat
+    f2 = nio.module_map_from_json(M2, M2, nio.mat_to_json(f.mat))
+    assert f2.mat == f.mat and f2.source == f.source and f2.target == f.target
 
 
 def test_roundtrip_complex():

@@ -18,7 +18,7 @@ from nangulate.complexes import (
 )
 from nangulate.engine import build_context, r_u_complex
 from nangulate.linalg import Mat, field_by_name, null_right, row_space_basis
-from nangulate.structure import is_semisimple, split_factorization
+from nangulate.structure import is_semisimple, split_through_image
 from nangulate.verify import Sampler
 
 F2 = field_by_name("F2")
@@ -159,7 +159,9 @@ def test_semisimple_split_factorization_100_random():
         for b in basis:
             if rng.random() < 0.5:
                 f = f + b
-        onto, incl, section, retraction = split_factorization(f)
+        split = split_through_image(f)
+        assert split is not None
+        onto, incl, section, retraction = split
         assert onto.then(incl).mat == f.mat
         W = incl.source
         assert section.then(onto).mat == Mat.identity(F2, W.dim)
