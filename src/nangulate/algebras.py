@@ -21,6 +21,7 @@ from .linalg import (
     left_null_basis,
     linear_combination,
     row_space_basis,
+    rref_supports,
     solve_right,
     solve_xa_b,
 )
@@ -339,42 +340,47 @@ def hom_basis(M: Module, N: Module):
     """Deterministic basis of Hom_A(M, N), as a tuple of ModuleMaps.
 
     Solves the intertwining system act_M(b) @ F - F @ act_N(b) = 0 for all
-    basis elements b; the basis order comes from the rref free-column order.
+    basis elements b, its rows built as supports; the basis map of each
+    free column, in increasing order, is 1 there and minus that column of
+    the RREF at the pivots.  Each map's matrix carries its nonzero triples.
     """
     if M.algebra != N.algebra:
         raise AlgebraError("hom_basis: algebra mismatch")
     A = M.algebra
     F = A.field
+    p = F.p
     m, n = M.dim, N.dim
     if m == 0 or n == 0:
         return ()
     rows = []
-    for bi in range(A.dim):
-        AM = M.action[bi]
-        AN = N.action[bi]
+    for AM, AN in zip(M.action, N.action):
         # constraint rows indexed by (r, c); unknowns F_{s,t} flattened s*n+t
-        for r in range(m):
-            for c in range(n):
-                row = [F.zero] * (m * n)
-                for s in range(m):
-                    a = AM.rows[r][s]
-                    if a:
-                        row[s * n + c] = F.add(row[s * n + c], a)
-                for t in range(n):
-                    b = AN.rows[t][c]
-                    if b:
-                        row[r * n + t] = F.sub(row[r * n + t], b)
-                rows.append(row)
-    big = Mat(F, rows, m * n)
-    from .linalg import null_right
+        mrows = _supports(F, AM, m, by_columns=False)
+        ncolumns = _supports(F, AN, n, by_columns=True)
+        for r, mrow in enumerate(mrows):
+            for c, ncol in enumerate(ncolumns):
+                row = {s * n + c: a for s, a in mrow}
+                for t, b in ncol:
+                    k = r * n + t
+                    row[k] = row.get(k, 0) - b
+                rows.append(_reduced(row, p))
+    lead, _ = rref_supports(F, rows)
+    free = {j: {j: F.one} for j in range(m * n) if j not in lead}
+    for c, row in lead.items():
+        for j, a in row.items():
+            if j != c:
+                free[j][c] = F.neg(a)
+    return tuple(
+        ModuleMap(M, N, Mat.from_nonzeros(F, m, n, [(k // n, k % n, a) for k, a in entries.items()]), check=False)
+        for entries in free.values()
+    )
 
-    K = null_right(big)
-    maps = []
-    for j in range(K.ncols):
-        flat = [K.rows[i][j] for i in range(m * n)]
-        mat = Mat(F, [flat[i * n : (i + 1) * n] for i in range(m)], n)
-        maps.append(ModuleMap(M, N, mat, check=False))
-    return tuple(maps)
+
+def _reduced(row, p):
+    """A support dict with its sums reduced: mod p over F_p, and no zeros."""
+    if p:
+        return {j: a % p for j, a in row.items() if a % p}
+    return {j: a for j, a in row.items() if a}
 
 
 def _supports(F, A, n, by_columns):
@@ -396,8 +402,8 @@ class LinearProblem:
 
     Each unknown ranges over a hom space (given by its basis); each equation
     states   sum_terms  sign * L @ U_name @ R  =  rhs   entrywise, where L or
-    R may be None.  This is the only place where hom-space equations become a
-    matrix: the columns follow the unknowns and their bases in the order they
+    R may be None.  This is the only place where hom-space equations become
+    rows: the columns follow the unknowns and their bases in the order they
     were added, the rows follow the equations and their entries row-major.
     """
 
@@ -424,40 +430,53 @@ class LinearProblem:
             total += len(basis)
         return offsets, total
 
-    def matrix(self):
-        """(A, B) with the system reading A @ x = B for the coordinate column x.
+    def support_rows(self):
+        """(rows, total): each row of [A | B] as its support {column: nonzero}.
 
-        vec(L @ e @ R)[(r, c)] is the sum over the nonzero e[i][j] of
-        e[i][j] * L[r][i] * R[j][c], a missing L or R read as the identity.
-        Hom bases are sparse, so only these products are formed, each added
-        into its cell with the field's addition.
+        B is column total.  vec(L @ e @ R)[(r, c)] is the sum over the
+        nonzero e[i][j] of e[i][j] * L[r][i] * R[j][c], a missing L or R
+        read as the identity; only these products are formed, over the
+        cached nonzeros of each basis map, and each cell is reduced once.
+        Zero rows are kept as empty dicts, so the rows are in matrix order.
         """
         F = self.field
-        add = F.add
+        p = F.p
         offsets, total = self._offsets()
         rows = []
-        rhs_flat = []
         for terms, rhs in self.equations:
             n = rhs.ncols
-            eq_rows = [[F.zero] * total for _ in range(rhs.nrows * n)]
+            eq_rows = [{} for _ in range(rhs.nrows * n)]
             for name, L, R, sign in terms:
                 k = self.index[name]
                 _, basis, (em, en) = self.unknowns[k]
                 lcols = _supports(F, L, em, by_columns=True)
                 rrows = _supports(F, R, en, by_columns=False)
                 for col, e in enumerate(basis, offsets[k]):
-                    for i, erow in enumerate(e.mat.rows):
-                        for j, v in enumerate(erow):
-                            if v:
-                                for r, a in lcols[i]:
-                                    w = sign * v * a
-                                    base = r * n
-                                    for c, b in rrows[j]:
-                                        row = eq_rows[base + c]
-                                        row[col] = add(row[col], w * b)
-            rows.extend(eq_rows)
-            rhs_flat.extend(rhs.flatten())
-        return Mat(F, rows, total), Mat(F, [[v] for v in rhs_flat], 1)
+                    for i, j, v in e.mat.nonzeros():
+                        for r, a in lcols[i]:
+                            w = sign * v * a
+                            base = r * n
+                            for c, b in rrows[j]:
+                                row = eq_rows[base + c]
+                                row[col] = row.get(col, 0) + w * b
+            for row, b in zip(eq_rows, rhs.flatten()):
+                row = _reduced(row, p)
+                if b:
+                    row[total] = b
+                rows.append(row)
+        return rows, total
+
+    def matrix(self):
+        """(A, B) with the system reading A @ x = B for the coordinate column x: support_rows() made dense."""
+        F = self.field
+        rows, total = self.support_rows()
+        dense = []
+        for row in rows:
+            line = [F.zero] * (total + 1)
+            for j, a in row.items():
+                line[j] = a
+            dense.append(line)
+        return Mat(F, [line[:total] for line in dense], total), Mat(F, [line[total:] for line in dense], 1)
 
     def assignment(self, coords):
         """Dict name -> matrix of each unknown at the coordinate vector coords."""
@@ -471,14 +490,20 @@ class LinearProblem:
     def solve(self, want_cert=True):
         """Returns (assignment dict, None) or (None, certificate row).
 
-        The solution has every free coordinate at 0, so it depends only on
-        the column order and the row space of [A | B].
+        The rows go into the insertion kernel as supports.  The solution has
+        every free coordinate at 0, read off the B column of the RREF, so it
+        depends only on the column order and the row space of [A | B].  The
+        certificate needs the transform of the dense [A | B], rows in order.
         """
-        A, B = self.matrix()
-        Xsol, cert = solve_right(A, B, want_cert=want_cert)
-        if Xsol is None:
-            return None, cert
-        return self.assignment([r[0] for r in Xsol.rows]), None
+        F = self.field
+        rows, total = self.support_rows()
+        lead, _ = rref_supports(F, rows)
+        if total in lead:
+            return None, (solve_right(*self.matrix())[1] if want_cert else None)
+        coords = [F.zero] * total
+        for c, row in lead.items():
+            coords[c] = row.get(total, F.zero)
+        return self.assignment(coords), None
 
 
 def solve_in_hom(M: Module, N: Module, L, R, rhs: Mat):

@@ -1,4 +1,4 @@
-"""Exact dense linear algebra over prime fields F_p and the rationals.
+"""Exact linear algebra over prime fields F_p and the rationals.
 
 Everything downstream (algebras, modules, homotopy solvers) reduces to the
 routines in this file, so the contract is strict: arithmetic is exact, row
@@ -9,20 +9,27 @@ Matrices are immutable once built.  A matrix is stored row-major; entries are
 plain ints in range(p) for F_p and `fractions.Fraction` for Q.  Either kind is
 falsy exactly at zero, so hot loops test entries for zero by truthiness.
 
-Elimination has two representations.  F2 rows are packed into ints and
-eliminated by XOR.  Odd p and Q share one loop over dense list rows that
-updates each row only over the lead row's nonzero support, reducing mod p
-over F_p.  Neither keeps a separate transform: T is the identity block
-appended past column n (over F2, bits n..n+m-1), which undergoes the same
-row operations while pivots are sought only in the first n columns.  Sums
-c1 * M1 + c2 * M2 + ... go through `linear_combination`, which, like the
-product, touches only nonzero entries and reduces mod p once.
+A reduction that needs no transform inserts row supports: `_rref_rows`
+keys each row by its lowest column, reducing it by the lead rows it meets,
+then clears the pivot columns from the highest pivot down.  F2 supports are
+packed into ints and reduced by XOR; odd p and Q supports are dicts
+{column: nonzero entry}.  `Mat.rref`, `solve_right`'s solvability test and
+the hom-space systems (which build their rows as supports and never a dense
+matrix) all take this route.  The RREF of a row space is unique, so it
+gives the R and pivots of a column-by-column elimination.  Only a transform
+T (`inverse` and the certificate of an unsolvable system) runs the list
+loop, where T is the identity block appended past column n (over F2, bits
+n..n+m-1), undergoing the same row operations while pivots are sought only
+in the first n columns.  Sums c1 * M1 + c2 * M2 + ... go through
+`linear_combination`, which, like the product, touches only nonzero entries
+and reduces mod p once.
 
 Echelon mark: the matrix `row_space_basis` returns carries its pivot columns.
 Its rows are the nonzero rows of a reduced row echelon form, so they are
 independent and hold the identity at the pivot columns.  Its `rref()` is
 itself, and X @ A = B has at most one solution, read off B at the pivot
-columns: `solve_xa_b` takes that X and keeps it only if X @ A == B.  The
+columns: `solve_xa_b` takes that X and keeps it only if X @ A == B, which
+it checks at the free columns alone (the pivot columns agree already).  The
 elimination route would return the same unique X, and None on exactly the
 same inputs, so the mark changes no result, only its cost.
 """
@@ -170,7 +177,7 @@ class Mat:
 
     # _pivots is the echelon mark: set only by row_space_basis, on a matrix
     # whose rows are already the nonzero rows of an RREF
-    __slots__ = ("field", "nrows", "ncols", "rows", "_rref", "_pivots", "_hash")
+    __slots__ = ("field", "nrows", "ncols", "rows", "_rref", "_pivots", "_hash", "_nz")
 
     def __init__(self, field, rows, ncols=None):
         self.field = field
@@ -187,6 +194,7 @@ class Mat:
         self._rref = None
         self._pivots = None
         self._hash = None
+        self._nz = None
 
     # -- constructors ------------------------------------------------------
 
@@ -194,6 +202,16 @@ class Mat:
     def from_int_rows(field, rows, ncols=None):
         conv = field.of_int
         return Mat(field, [[conv(a) for a in r] for r in rows], ncols)
+
+    @staticmethod
+    def from_nonzeros(field, m, n, triples):
+        """The m x n matrix with the distinct nonzero (i, j, value) entries given, kept as its nonzeros()."""
+        rows = [[field.zero] * n for _ in range(m)]
+        for i, j, a in triples:
+            rows[i][j] = a
+        M = Mat(field, rows, n)
+        M._nz = tuple(triples)
+        return M
 
     @staticmethod
     def zeros(field, m, n):
@@ -236,6 +254,12 @@ class Mat:
 
     def to_lists(self):
         return [list(r) for r in self.rows]
+
+    def nonzeros(self):
+        """The nonzero entries as (i, j, value) triples, cached on the matrix."""
+        if self._nz is None:
+            self._nz = tuple((i, j, a) for i, r in enumerate(self.rows) for j, a in enumerate(r) if a)
+        return self._nz
 
     # -- arithmetic --------------------------------------------------------
 
@@ -362,8 +386,7 @@ class Mat:
         if self._pivots is not None:
             return self, self._pivots
         if self._rref is None:
-            R, piv, _ = _rref_with_transform(self, want_transform=False)
-            self._rref = (R, piv)
+            self._rref = _rref(self)
         return self._rref
 
     def rank(self) -> int:
@@ -373,7 +396,7 @@ class Mat:
         if self.nrows != self.ncols:
             raise ValueError("inverse of non-square matrix")
         n = self.nrows
-        R, piv, T = _rref_with_transform(self, want_transform=True)
+        R, piv, T = _rref_with_transform(self)
         if len(piv) != n:
             raise ValueError("matrix not invertible")
         return T
@@ -405,22 +428,23 @@ def _unpack_f2(packed, n):
     return [tuple(format(v, fmt)[::-1].encode().translate(table)) for v in packed]
 
 
-def _rref_f2(A: Mat, want_transform: bool):
-    """Bit-packed row reduction over F_2: rows are ints, elimination is XOR.
+def _rref_rows(F, rows):
+    """The insertion kernel: (lead, pivots) of the RREF of the given rows.
 
-    Without a transform each row is reduced into a dict {lowest set bit: row}
-    and the pivot columns are then cleared from the other pivot rows; the
-    RREF of a row space is unique, so R and the pivots are those of the
-    column-by-column elimination.  With a transform, row i also carries bit
-    n + i (the identity block) and is eliminated column by column, pivots
-    sought only below bit n; bits n.. then hold T.
+    Over F2 a row is an int whose bit j is its entry at column j; over odd p
+    and Q it is a dict {column: nonzero entry}, entries reduced, and it is
+    consumed.  Each row is reduced by the lead rows it meets, lowest column
+    first, until its lowest column has none; it is stored there, normalized.
+    Every lead row then has entries only at and above its pivot, so clearing
+    the pivot columns from the highest pivot down leaves each one clean.
+    lead maps each pivot to its RREF row, in the rows' representation, and
+    pivots ascend.  The RREF of a row space is unique, so these are the
+    nonzero rows and pivots of the column-by-column elimination.
     """
-    m, n = A.nrows, A.ncols
-    packed = _pack_f2(A.rows, n)
-    F = A.field
-    if not want_transform:
-        lead = {}
-        for v in packed:
+    p = F.p
+    lead = {}
+    if p == 2:
+        for v in rows:
             while v:
                 c = (v & -v).bit_length() - 1
                 if c not in lead:
@@ -428,65 +452,136 @@ def _rref_f2(A: Mat, want_transform: bool):
                     break
                 v ^= lead[c]
         pivots = sorted(lead)
-        # each pivot row has bits only at and above its pivot, so clearing
-        # from the highest pivot down leaves every pivot column clean
         for k in range(len(pivots) - 1, 0, -1):
             bit = 1 << pivots[k]
             row = lead[pivots[k]]
             for c in pivots[:k]:
                 if lead[c] & bit:
                     lead[c] ^= row
-        R = Mat(F, _unpack_f2([lead[c] for c in pivots] + [0] * (m - len(pivots)), n), n)
-        return R, pivots, None
-    packed = [v | 1 << (n + i) for i, v in enumerate(packed)]
-    pivots = []
-    r = 0
-    for c in range(n):
-        bit = 1 << c
-        pr = next((i for i in range(r, m) if packed[i] & bit), None)
-        if pr is None:
-            continue
-        packed[r], packed[pr] = packed[pr], packed[r]
-        lead = packed[r]
-        for i in range(m):
-            if i != r and packed[i] & bit:
-                packed[i] ^= lead
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    mask = (1 << n) - 1
-    R = Mat(F, _unpack_f2([v & mask for v in packed], n), n)
-    return R, pivots, Mat(F, _unpack_f2([v >> n for v in packed], m), m)
+        return lead, pivots
+    for row in rows:
+        while row:
+            c = min(row)
+            if c not in lead:
+                f = row[c]
+                if f != 1:
+                    inv = pow(f, -1, p) if p else F.one / f
+                    row = {j: a * inv % p for j, a in row.items()} if p else {j: a * inv for j, a in row.items()}
+                lead[c] = row
+                break
+            _subtract(row, row[c], lead[c], p)
+    pivots = sorted(lead)
+    for c in reversed(pivots):
+        # the rows of the higher pivots are final: subtracting one clears
+        # its pivot here and touches only free columns
+        row = lead[c]
+        for j in [j for j in row if j != c and j in lead]:
+            _subtract(row, row[j], lead[j], p)
+    return lead, pivots
 
 
-def _rref_with_transform(A: Mat, want_transform: bool):
-    """Row reduce A.  Returns (R, pivots, T) with T @ A = R when requested.
+def _subtract(row, f, lead_row, p):
+    """row -= f * lead_row in place, over supports; zeros are dropped."""
+    get = row.get
+    if p:
+        for j, b in lead_row.items():
+            a = (get(j, 0) - f * b) % p
+            if a:
+                row[j] = a
+            else:
+                del row[j]
+    else:
+        for j, b in lead_row.items():
+            a = get(j, 0) - f * b
+            if a:
+                row[j] = a
+            else:
+                del row[j]
 
-    F2 goes to the packed kernel.  Odd p and Q share one loop over dense list
-    rows: once the lead row is normalized its support (the nonzero entries,
-    all at columns >= the pivot) is collected, and each row that needs
-    elimination is updated in place over that support only, reduced mod p
-    over F_p.  Zeros add nothing, so the entries are those of a dense
-    elimination with the same pivots.  For T, the identity block is appended
-    past column n and pivots are sought only in the first n columns; the
-    block undergoes the same row operations and ends as T.
+
+def _bits(v):
+    """The set bits of v, ascending."""
+    out = []
+    while v:
+        low = v & -v
+        out.append(low.bit_length() - 1)
+        v ^= low
+    return out
+
+
+def rref_supports(F, rows):
+    """_rref_rows for rows given as dicts {column: nonzero entry} over any field.
+
+    Over F2 the supports are packed into ints by setting bits, and the lead
+    rows come back as dicts, so callers read every field alike.
+    """
+    if F.p != 2:
+        return _rref_rows(F, rows)
+    lead, pivots = _rref_rows(F, [sum([1 << j for j in row]) for row in rows])
+    return {c: dict.fromkeys(_bits(v), 1) for c, v in lead.items()}, pivots
+
+
+def _rref(A: Mat):
+    """(R, pivots) of A by the insertion kernel; R is m x n, zero rows last."""
+    F = A.field
+    m, n = A.nrows, A.ncols
+    if F.p == 2:
+        lead, pivots = _rref_rows(F, _pack_f2(A.rows, n))
+        return Mat(F, _unpack_f2([lead[c] for c in pivots] + [0] * (m - len(pivots)), n), n), pivots
+    lead, pivots = _rref_rows(F, [{j: a for j, a in enumerate(r) if a} for r in A.rows])
+    z = F.zero
+    rows = []
+    for c in pivots:
+        row = [z] * n
+        for j, a in lead[c].items():
+            row[j] = a
+        rows.append(row)
+    rows += [[z] * n] * (m - len(pivots))
+    return Mat(F, rows, n), pivots
+
+
+def _rref_with_transform(A: Mat):
+    """The list loop: (R, pivots, T) with T @ A = R.
+
+    Only a transform needs it.  T is the identity block appended past column
+    n (over F2, bits n..n+m-1 of the packed rows), eliminated column by
+    column with the rest while pivots are sought only in the first n
+    columns; the block ends as T.  Over odd p and Q, once the lead row is
+    normalized its support (the nonzero entries, all at columns >= the
+    pivot) is collected, and each row that needs elimination is updated in
+    place over that support only, reduced mod p over F_p.
     """
     F = A.field
     p = F.p
-    if p == 2:
-        return _rref_f2(A, want_transform)
     m, n = A.nrows, A.ncols
-    rows = [list(r) for r in A.rows]
-    width = n
-    if want_transform:
-        width += m
-        for i, row in enumerate(rows):
-            row += [F.zero] * m
-            row[n + i] = F.one
     pivots = []
     r = 0
+    if p == 2:
+        packed = [v | 1 << (n + i) for i, v in enumerate(_pack_f2(A.rows, n))]
+        for c in range(n):
+            if r == m:
+                break
+            bit = 1 << c
+            pr = next((i for i in range(r, m) if packed[i] & bit), None)
+            if pr is None:
+                continue
+            packed[r], packed[pr] = packed[pr], packed[r]
+            lead = packed[r]
+            for i in range(m):
+                if i != r and packed[i] & bit:
+                    packed[i] ^= lead
+            pivots.append(c)
+            r += 1
+        mask = (1 << n) - 1
+        R = Mat(F, _unpack_f2([v & mask for v in packed], n), n)
+        return R, pivots, Mat(F, _unpack_f2([v >> n for v in packed], m), m)
+    width = n + m
+    rows = [list(row) + [F.zero] * m for row in A.rows]
+    for i, row in enumerate(rows):
+        row[n + i] = F.one
     for c in range(n):
+        if r == m:
+            break
         pr = next((i for i in range(r, m) if rows[i][c]), None)
         if pr is None:
             continue
@@ -513,10 +608,6 @@ def _rref_with_transform(A: Mat, want_transform: bool):
                     row[j] -= f * b
         pivots.append(c)
         r += 1
-        if r == m:
-            break
-    if not want_transform:
-        return Mat(F, rows, n), pivots, None
     return Mat(F, [row[:n] for row in rows], n), pivots, Mat(F, [row[n:] for row in rows], m)
 
 
@@ -572,12 +663,12 @@ def solve_right(A: Mat, B: Mat, want_cert=True):
         raise ValueError("solve: A.rows must equal B.rows")
     F = A.field
     aug = A.hstack(B)
-    R, piv, _ = _rref_with_transform(aug, want_transform=False)
+    R, piv = _rref(aug)
     bad = next((c for c in piv if c >= A.ncols), None)
     if bad is not None:
         cert = None
         if want_cert:
-            _, piv2, T = _rref_with_transform(aug, want_transform=True)
+            _, piv2, T = _rref_with_transform(aug)
             r = piv2.index(bad)
             cert = Mat(F, [T.rows[r]], A.nrows)
         return None, cert
@@ -610,14 +701,28 @@ def solve_xa_b(A: Mat, B: Mat):
     """Solve X @ A = B for X (row-vector world).  Returns X or None.
 
     Against a marked A (see row_space_basis) the only candidate is B read at
-    the pivot columns; otherwise A is eliminated.
+    the pivot columns; otherwise A is eliminated.  X @ A agrees with B at the
+    pivot columns by construction, so only the free columns are compared.
     """
     piv = A._pivots
     if piv is not None:
         if A.ncols != B.ncols:
             raise ValueError("solve: A.rows must equal B.rows")
-        X = Mat(A.field, [[r[c] for c in piv] for r in B.rows], A.nrows)
-        return X if X @ A == B else None
+        F = A.field
+        p = F.p
+        X = Mat(F, [[r[c] for c in piv] for r in B.rows], A.nrows)
+        pivset = set(piv)
+        free = [j for j in range(A.ncols) if j not in pivset]
+        support = [[(j, r[j]) for j in free if r[j]] for r in A.rows]
+        for x, b in zip(X.rows, B.rows):
+            acc = dict.fromkeys(free, F.zero)
+            for a, nz in zip(x, support):
+                if a:
+                    for j, v in nz:
+                        acc[j] += a * v
+            if any((s % p if p else s) != b[j] for j, s in acc.items()):
+                return None
+        return X
     Xt, _ = solve_right(A.transpose(), B.transpose(), want_cert=False)
     if Xt is None:
         return None

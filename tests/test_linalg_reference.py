@@ -2,8 +2,9 @@
 
 The reference below is the straightforward Gauss-Jordan elimination: every
 cell of every touched row is rewritten, and F2 rows are packed bit by bit.
-The production kernels (support-restricted updates over odd p, C-level F2
-packing, F2 rref by pivot-keyed insertion) must agree with it exactly: R,
+The production kernels (the insertion of row supports, packed over F2, for
+every reduction without a transform; the list loop with support-restricted
+updates and C-level F2 packing for T) must agree with it exactly: R,
 pivots, T, solve_right's X and certificate, and null_right.  The product,
 which multiplies only nonzero entries, is held to the dense row-by-column
 sum in the same way, and kron to its definition.  A basis that
@@ -27,6 +28,7 @@ from nangulate.linalg import (
     QQ,
     Mat,
     PrimeField,
+    _rref,
     _rref_with_transform,
     field_by_name,
     null_right,
@@ -225,10 +227,24 @@ def system(draw):
 @given(system())
 def test_kernels_match_dense_reference(AB):
     A, B = AB
-    for want_transform in (False, True):
-        assert _rref_with_transform(A, want_transform) == ref_rref(A, want_transform)
+    assert _rref(A) == ref_rref(A, want_transform=False)[:2]
+    assert _rref_with_transform(A) == ref_rref(A, want_transform=True)
     assert solve_right(A, B) == ref_solve_right(A, B)
     assert null_right(A) == ref_null_right(A)
+
+
+@settings(max_examples=200, deadline=None)
+@given(system())
+def test_support_kernel_matches_dense_route(AB):
+    """rref_supports on row supports (zero rows as empty dicts): the list loop's nonzero rows and pivots."""
+    A, _ = AB
+    F = A.field
+    R, piv, _ = _rref_with_transform(A)
+    lead, pivots = linalg.rref_supports(F, [{j: a for j, a in enumerate(r) if a} for r in A.rows])
+    assert pivots == piv and sorted(lead) == piv
+    assert [{j: a for j, a in enumerate(r) if a} for r in R.rows[: len(piv)]] == [lead[c] for c in piv]
+    assert all(type(a) is (Fraction if F is QQ else int) for row in lead.values() for a in row.values())
+    assert A.rref() == (R, piv)
 
 
 def test_empty_shapes_match_dense_reference():
@@ -236,8 +252,9 @@ def test_empty_shapes_match_dense_reference():
         for m, n, k in ((0, 0, 0), (0, 4, 1), (4, 0, 1), (3, 3, 0)):
             A = Mat(F, [[F.zero] * n for _ in range(m)], n)
             B = Mat(F, [[F.one] * k for _ in range(m)], k)
-            for want_transform in (False, True):
-                assert _rref_with_transform(A, want_transform) == ref_rref(A, want_transform)
+            assert _rref(A) == ref_rref(A, want_transform=False)[:2]
+            assert _rref_with_transform(A) == ref_rref(A, want_transform=True)
+            assert linalg.rref_supports(F, [{} for _ in range(m)]) == ({}, [])
             assert solve_right(A, B) == ref_solve_right(A, B)
             assert null_right(A) == ref_null_right(A)
 
@@ -312,7 +329,7 @@ def f2_matrix(draw):
 @given(f2_matrix())
 def test_f2_rref_by_insertion_matches_elimination(A):
     R, piv = A.rref()
-    assert (R, piv) == _rref_with_transform(A, True)[:2]
+    assert (R, piv) == _rref_with_transform(A)[:2]
     assert (R, piv) == ref_rref_f2(A, want_transform=False)[:2]
 
 
@@ -384,11 +401,13 @@ def test_marked_rref_runs_no_elimination(monkeypatch):
     F = field_by_name("F3")
     A = Mat(F, [[1, 2, 0, 1], [2, 1, 1, 0], [0, 0, 1, 2]], 4)
     basis = row_space_basis(A)
-    want = _rref_with_transform(basis, False)[:2]
+    want = _rref(basis)
 
     def refuse(*args, **kwargs):
         raise AssertionError("a marked matrix was eliminated")
 
+    monkeypatch.setattr(linalg, "_rref", refuse)
+    monkeypatch.setattr(linalg, "_rref_rows", refuse)
     monkeypatch.setattr(linalg, "_rref_with_transform", refuse)
     assert basis.rref() == want
     assert row_space_basis(basis) == basis
